@@ -171,14 +171,17 @@ FctReport run_fct_experiment(const FctExperiment& cfg) {
   if (observers.size() == 1) observer = observers.front();
   if (observers.size() > 1) observer = &tee;
   if (observer != nullptr) {
+    // Dense port indices: observers (the checker's ledgers) keep per-port
+    // state in flat arrays instead of looking names up per event.
+    std::uint32_t index = 0;
     for (std::size_t s = 0; s < network.num_switches(); ++s) {
       auto& sw = network.switch_at(s);
       for (std::size_t p = 0; p < sw.num_ports(); ++p) {
-        sw.port(p).set_observer(observer);
+        sw.port(p).set_observer(observer, index++);
       }
     }
     for (std::size_t h = 0; h < network.num_hosts(); ++h) {
-      network.host(h).nic().set_observer(observer);
+      network.host(h).nic().set_observer(observer, index++);
     }
   }
 
@@ -363,6 +366,7 @@ FctReport run_fct_experiment(const FctExperiment& cfg) {
   }
   for (std::size_t h = 0; h < network.num_hosts(); ++h) {
     report.fault_drops += network.host(h).nic().counters().fault_drops;
+    report.host_deliveries += network.host(h).delivered();
   }
   if (cfg.check_invariants) {
     report.invariants_checked = true;

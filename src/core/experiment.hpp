@@ -180,6 +180,10 @@ struct FctReport {
   std::uint64_t sched_drops = 0;
   std::uint64_t events = 0;
   sim::Time sim_end = 0;
+  /// Packets handed up a host receive stack, summed over hosts. With the
+  /// receive-stack fold each costs one event (arrival and stack delay in
+  /// one), where it cost two before.
+  std::uint64_t host_deliveries = 0;
 
   // Packet-pool telemetry (deterministic per config): fresh slab growths,
   // zero-allocation free-list reuses, and packets returned to the pool.

@@ -266,15 +266,10 @@ std::uint64_t FaultInjector::next_seed() {
 
 void FaultInjector::schedule_link_down(net::Port& port, sim::Time start,
                                        sim::Time duration) {
-  net::Port* p = &port;
-  if (start <= sim_.now()) {
-    p->set_link_up(false);
-  } else {
-    sim_.schedule_at(start, [p]() { p->set_link_up(false); });
-  }
-  if (duration > 0) {
-    sim_.schedule_at(start + duration, [p]() { p->set_link_up(true); });
-  }
+  // Through the port, so it knows its outages ahead of the packets that
+  // would cross them (see Port::schedule_link_state).
+  port.schedule_link_state(start, false);
+  if (duration > 0) port.schedule_link_state(start + duration, true);
 }
 
 void FaultInjector::attach_loss_window(net::Port& port, net::LossModel* model,

@@ -22,11 +22,8 @@ void InvariantChecker::violation(const TraceRecord& rec,
 
 void InvariantChecker::on_event(const TraceRecord& rec) {
   ++events_checked_;
-  auto it = ports_.find(rec.port);
-  if (it == ports_.end()) {
-    it = ports_.emplace(std::string(rec.port), PortState{}).first;
-  }
-  PortState& st = it->second;
+  if (rec.port_index >= ports_.size()) ports_.resize(rec.port_index + 1);
+  PortState& st = ports_[rec.port_index];
 
   if (rec.t < st.last_t) {
     violation(rec, "timestamp went backwards (last " +

@@ -10,15 +10,15 @@
 //     model holds (underflow would wrap the unsigned counters silently)
 //   - monotonic timestamps: a port's event stream never goes back in time
 //
-// One checker instance can watch any number of ports (records are keyed by
-// port name), so a whole experiment needs exactly one. Fault-injection runs
-// lean on this: a downed link or a mid-run buffer squeeze must never
-// un-balance a port's ledger.
+// One checker instance can watch any number of ports (ledgers are indexed
+// by TraceRecord::port_index, the dense index each port is given when the
+// observer is attached), so a whole experiment needs exactly one.
+// Fault-injection runs lean on this: a downed link or a mid-run buffer
+// squeeze must never un-balance a port's ledger.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -45,7 +45,7 @@ class InvariantChecker final : public PortObserver {
   [[nodiscard]] const std::string& first_violation() const noexcept {
     return first_violation_;
   }
-  /// Number of distinct ports seen so far.
+  /// Ledger slots in use: the highest port index seen so far, plus one.
   [[nodiscard]] std::size_t ports_watched() const noexcept {
     return ports_.size();
   }
@@ -73,8 +73,7 @@ class InvariantChecker final : public PortObserver {
   std::uint64_t violations_ = 0;
   std::string first_violation_;
   std::function<std::string()> postmortem_;
-  // Transparent comparator: lookup by string_view without allocating.
-  std::map<std::string, PortState, std::less<>> ports_;
+  std::vector<PortState> ports_;  ///< indexed by TraceRecord::port_index
 };
 
 /// Counter-level conservation check, valid at any instant: every byte ever

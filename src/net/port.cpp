@@ -1,6 +1,8 @@
 #include "net/port.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -18,6 +20,7 @@
 #include "aqm/red_prob.hpp"
 #include "aqm/tcn.hpp"
 #include "net/fifo_scheduler.hpp"
+#include "net/host.hpp"
 #include "sched/aifo.hpp"
 #include "sched/dwrr.hpp"
 #include "sched/pifo.hpp"
@@ -119,6 +122,7 @@ void Port::emit(TraceEvent event, const Packet& p, std::size_t queue,
   rec.t = sim_.now();
   rec.event = event;
   rec.port = name_;
+  rec.port_index = trace_index_;
   rec.queue = queue;
   rec.flow = p.flow;
   rec.seq = p.seq;
@@ -133,6 +137,8 @@ void Port::emit(TraceEvent event, const Packet& p, std::size_t queue,
 void Port::connect(Node* peer, std::size_t peer_ingress) {
   peer_ = peer;
   peer_ingress_ = peer_ingress;
+  auto* host = dynamic_cast<Host*>(peer);
+  fold_host_ = host != nullptr && host->stack_delay() > 0 ? host : nullptr;
 }
 
 void Port::fault_drop(const Packet& p, std::size_t queue) {
@@ -142,11 +148,45 @@ void Port::fault_drop(const Packet& p, std::size_t queue) {
   if (observer_ != nullptr) emit(TraceEvent::kFaultDrop, p, queue);
 }
 
+namespace {
+
+/// First entry of a time-sorted transition log later than `t`.
+auto first_after(const std::vector<std::pair<sim::Time, bool>>& log,
+                 sim::Time t) {
+  return std::upper_bound(
+      log.begin(), log.end(), t,
+      [](sim::Time v, const std::pair<sim::Time, bool>& e) {
+        return v < e.first;
+      });
+}
+
+}  // namespace
+
 void Port::set_link_up(bool up) {
   if (link_up_ == up) return;
+  link_log_.insert(first_after(link_log_, sim_.now()), {sim_.now(), up});
   link_up_ = up;
   // Whatever survived in the buffer resumes draining when the link heals.
   if (up) try_transmit();
+}
+
+void Port::schedule_link_state(sim::Time at, bool up) {
+  if (at <= sim_.now()) {
+    set_link_up(up);
+    return;
+  }
+  link_log_.insert(first_after(link_log_, at), {at, up});
+  sim_.schedule_at(at, [this, up] {
+    if (link_up_ == up) return;
+    link_up_ = up;
+    if (up) try_transmit();
+  });
+}
+
+bool Port::link_up_at(sim::Time t) const {
+  if (link_log_.empty()) return true;
+  const auto it = first_after(link_log_, t);
+  return it == link_log_.begin() || std::prev(it)->second;
 }
 
 void Port::enqueue(PacketPtr p, std::size_t queue) {
@@ -188,6 +228,8 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
     return;  // packet destroyed
   }
   p->enqueue_ts = sim_.now();
+  // The queue's time-series channel sleeps until its first packet.
+  if (series_enabled_) series_[queue]->on_enqueue();
   total_bytes_ += p->size;
   ++counters_.enq_packets;
   counters_.enq_bytes += p->size;
@@ -275,16 +317,37 @@ void Port::try_transmit() {
     if (!link_up_ || (loss_ != nullptr && loss_->should_drop(*pkt, sim_.now()))) {
       fault_drop(*pkt, q);
     } else if (peer_ != nullptr) {
-      sim_.schedule_in(cfg_.prop_delay,
-                       [this, q, arriving = std::move(pkt)]() mutable {
-        if (!link_up_) {
-          fault_drop(*arriving, q);
-          return;
-        }
-        peer_->receive(std::move(arriving), peer_ingress_);
-      });
+      propagate(std::move(pkt), q);
     }
     try_transmit();
+  });
+}
+
+void Port::propagate(PacketPtr p, std::size_t queue) {
+  const sim::Time arrival = sim_.now() + cfg_.prop_delay;
+  // A Host peer would only wait out its receive-stack delay after the
+  // arrival, so arrival and delay fold into ONE event at arrival + delay --
+  // provided the link is known to be up at the arrival instant. A packet
+  // headed into a scheduled outage takes the unfolded path below, so its
+  // fault drop is reported at the arrival instant as before.
+  if (fold_host_ != nullptr && link_up_at(arrival)) {
+    sim_.schedule_at(arrival + fold_host_->stack_delay(),
+                     [this, queue, arrival, pkt = std::move(p)]() mutable {
+      // Catches a set_link_up(false) issued while the packet propagated.
+      if (!link_up_at(arrival)) {
+        fault_drop(*pkt, queue);
+        return;
+      }
+      fold_host_->deliver(std::move(pkt));
+    });
+    return;
+  }
+  sim_.schedule_at(arrival, [this, queue, pkt = std::move(p)]() mutable {
+    if (!link_up_) {
+      fault_drop(*pkt, queue);
+      return;
+    }
+    peer_->receive(std::move(pkt), peer_ingress_);
   });
 }
 

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/marker.hpp"
@@ -28,6 +29,8 @@
 #include "sim/simulator.hpp"
 
 namespace tcn::net {
+
+class Host;
 
 /// Per-packet link-fault decision hook (fault injection). Consulted when a
 /// packet finishes serialization; returning true blackholes it on the wire.
@@ -62,7 +65,9 @@ class Port {
   Port(const Port&) = delete;
   Port& operator=(const Port&) = delete;
 
-  /// Attach the far end of the link.
+  /// Attach the far end of the link. When the peer is a Host with a stack
+  /// delay, the link arrival and the host's receive-stack delay fold into
+  /// one event (see propagate).
   void connect(Node* peer, std::size_t peer_ingress);
 
   /// Submit a packet to queue `queue`. May drop (shared buffer full, link
@@ -74,6 +79,10 @@ class Port {
   /// of whatever survived in the buffer).
   void set_link_up(bool up);
   [[nodiscard]] bool link_up() const noexcept { return link_up_; }
+  /// Schedule set_link_up(up) at `at` (now or later). Unlike a bare
+  /// simulator event, the port learns the transition ahead of time, so a
+  /// packet it folds into a Host delivery is known to land on a live link.
+  void schedule_link_state(sim::Time at, bool up);
 
   /// Attach (or detach with nullptr) a random-loss model applied to packets
   /// leaving the port; it must outlive the port or be detached first.
@@ -135,8 +144,13 @@ class Port {
   [[nodiscard]] Node* peer() const noexcept { return peer_; }
 
   /// Attach (or detach with nullptr) a trace observer; it must outlive the
-  /// port or be detached first.
-  void set_observer(PortObserver* obs) noexcept { observer_ = obs; }
+  /// port or be detached first. `index` is the port's dense index among the
+  /// ports sharing the observer, carried by every TraceRecord so observers
+  /// keep per-port state in flat arrays.
+  void set_observer(PortObserver* obs, std::uint32_t index = 0) noexcept {
+    observer_ = obs;
+    trace_index_ = index;
+  }
 
  private:
   /// Handles into the run's MetricsRegistry, resolved once at construction
@@ -160,6 +174,11 @@ class Port {
   };
 
   void try_transmit();
+  /// Put a serialized packet on the wire towards the peer.
+  void propagate(PacketPtr p, std::size_t queue);
+  /// Link state at time `t` by the transition log; exact for any t up to
+  /// now and, for scheduled transitions, beyond.
+  [[nodiscard]] bool link_up_at(sim::Time t) const;
   void emit(TraceEvent event, const Packet& p, std::size_t queue,
             sim::Time sojourn = 0);
   void fault_drop(const Packet& p, std::size_t queue);
@@ -182,12 +201,19 @@ class Port {
   std::uint64_t buffer_limit_;
   bool busy_ = false;
   bool link_up_ = true;
+  /// Every link transition, past and scheduled, as (time, up) sorted by
+  /// time (equal times in the order they take effect). Empty on links that
+  /// never fault.
+  std::vector<std::pair<sim::Time, bool>> link_log_;
   LossModel* loss_ = nullptr;
   Node* peer_ = nullptr;
   std::size_t peer_ingress_ = 0;
+  /// The peer when it is a Host with a stack delay (deliveries fold).
+  Host* fold_host_ = nullptr;
   Counters counters_;
   std::vector<std::uint64_t> queue_drops_;
   PortObserver* observer_ = nullptr;
+  std::uint32_t trace_index_ = 0;
   Metrics metrics_;
   /// Per-queue time-series channels, resolved once at construction from
   /// obs::TimeSeries::current() -- same null-handle discipline as Metrics.

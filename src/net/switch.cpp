@@ -26,14 +26,8 @@ std::uint64_t flow_hash(const Packet& p) {
 
 }  // namespace
 
-Classifier dscp_classifier() {
-  return [](const Packet& p, std::size_t num_queues) {
-    return std::min<std::size_t>(p.dscp, num_queues - 1);
-  };
-}
-
 Switch::Switch(sim::Simulator& sim, std::string name)
-    : sim_(sim), name_(std::move(name)), classifier_(dscp_classifier()) {}
+    : sim_(sim), name_(std::move(name)) {}
 
 std::size_t Switch::add_port(PortConfig cfg, std::unique_ptr<Scheduler> sched,
                              std::unique_ptr<Marker> marker) {
@@ -49,35 +43,41 @@ void Switch::connect(std::size_t port, Node* peer, std::size_t peer_ingress) {
 }
 
 void Switch::add_route(std::uint32_t dst, std::vector<std::size_t> ports) {
+  if (dst >= routes_.size()) routes_.resize(std::size_t{dst} + 1);
   routes_[dst] = std::move(ports);
 }
 
+std::size_t Switch::pick_member(const std::vector<std::size_t>& group,
+                                const Packet& p) const {
+  const std::uint64_t hash = flow_hash(p);
+  const std::size_t out = group[hash % group.size()];
+  if (ports_[out]->link_up()) return out;
+  // Steer around dead ECMP members: flows hashed onto a downed link are
+  // deterministically rehashed over the live members (like a fabric
+  // routing update) -- the (hash % live)-th live one; flows on healthy
+  // links keep their path.
+  const auto live = static_cast<std::size_t>(
+      std::count_if(group.begin(), group.end(),
+                    [&](std::size_t m) { return ports_[m]->link_up(); }));
+  // All members down: keep the hashed one and let the port blackhole it.
+  if (live == 0) return out;
+  std::size_t k = hash % live;
+  for (const std::size_t member : group) {
+    if (ports_[member]->link_up() && k-- == 0) return member;
+  }
+  return out;  // unreachable: k < live
+}
+
 void Switch::receive(PacketPtr p, std::size_t /*ingress*/) {
-  const auto it = routes_.find(p->dst);
-  if (it == routes_.end() || it->second.empty()) {
+  if (p->dst >= routes_.size() || routes_[p->dst].empty()) {
     ++unrouted_;
     return;
   }
-  const auto& group = it->second;
-  std::size_t out = group[0];
-  if (group.size() > 1) {
-    const std::uint64_t hash = flow_hash(*p);
-    out = group[hash % group.size()];
-    // Steer around dead ECMP members: flows hashed onto a downed link are
-    // deterministically rehashed over the live members (like a fabric
-    // routing update); flows on healthy links keep their path.
-    if (!ports_[out]->link_up()) {
-      std::vector<std::size_t> alive;
-      alive.reserve(group.size());
-      for (const std::size_t member : group) {
-        if (ports_[member]->link_up()) alive.push_back(member);
-      }
-      // All members down: fall through and let the port blackhole it.
-      if (!alive.empty()) out = alive[hash % alive.size()];
-    }
-  }
-  Port& port = *ports_[out];
-  const std::size_t q = classifier_(*p, port.num_queues());
+  const std::vector<std::size_t>& group = routes_[p->dst];
+  Port& port =
+      *ports_[group.size() == 1 ? group[0] : pick_member(group, *p)];
+  const std::size_t q =
+      std::min<std::size_t>(p->dscp, port.num_queues() - 1);
   port.enqueue(std::move(p), q);
 }
 

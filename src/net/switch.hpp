@@ -2,10 +2,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/marker.hpp"
@@ -15,12 +13,6 @@
 #include "sim/simulator.hpp"
 
 namespace tcn::net {
-
-/// Maps a packet to a queue index in [0, num_queues). The default classifier
-/// uses min(dscp, num_queues-1), matching the prototype's DSCP classifier.
-using Classifier = std::function<std::size_t(const Packet&, std::size_t)>;
-
-Classifier dscp_classifier();
 
 class Switch final : public Node {
  public:
@@ -35,11 +27,12 @@ class Switch final : public Node {
 
   /// Route packets destined to host `dst` out one of `ports` (ECMP when the
   /// group has several members; the 5-tuple hash picks a member so a flow
-  /// stays on one path).
+  /// stays on one path). Host addresses are dense indices: the route table
+  /// is a flat array indexed by `dst`.
   void add_route(std::uint32_t dst, std::vector<std::size_t> ports);
 
-  void set_classifier(Classifier c) { classifier_ = std::move(c); }
-
+  /// Route, then classify into queue min(dscp, num_queues - 1) of the
+  /// egress port (the prototype's DSCP classifier).
   void receive(PacketPtr p, std::size_t ingress) override;
 
   [[nodiscard]] Port& port(std::size_t i) { return *ports_.at(i); }
@@ -50,11 +43,14 @@ class Switch final : public Node {
   [[nodiscard]] std::uint64_t unrouted() const noexcept { return unrouted_; }
 
  private:
+  std::size_t pick_member(const std::vector<std::size_t>& group,
+                          const Packet& p) const;
+
   sim::Simulator& sim_;
   std::string name_;
   std::vector<std::unique_ptr<Port>> ports_;
-  std::unordered_map<std::uint32_t, std::vector<std::size_t>> routes_;
-  Classifier classifier_;
+  /// Egress group per destination address; empty = no route.
+  std::vector<std::vector<std::size_t>> routes_;
   std::uint64_t unrouted_ = 0;
 };
 

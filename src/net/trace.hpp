@@ -29,6 +29,9 @@ std::string_view trace_event_name(TraceEvent e);
 struct TraceRecord {
   sim::Time t = 0;
   TraceEvent event = TraceEvent::kEnqueue;
+  /// Dense index of the port among those sharing its observer (assigned by
+  /// Port::set_observer; 0 for a lone port).
+  std::uint32_t port_index = 0;
   std::string_view port;  ///< owning port's name (stable storage)
   std::size_t queue = 0;
   std::uint64_t flow = 0;

@@ -33,7 +33,7 @@ class FlightRecorder final : public net::PortObserver {
       ring_.push_back(rec);
     } else {
       ring_[head_] = rec;
-      head_ = (head_ + 1) % depth_;
+      if (++head_ == depth_) head_ = 0;
     }
     ++seen_;
   }

@@ -68,6 +68,15 @@ void StabilityAnalyzer::observe(const SeriesPoint& p) noexcept {
   total_tx_bytes_ += p.tx_bytes;
 }
 
+void StabilityAnalyzer::observe_zeros(std::uint64_t n) noexcept {
+  // observe() of a zero point on zero state: delta, delta_n, term1 and the
+  // mark delta are all +0.0, so every accumulator stays +0.0 and only the
+  // counts advance.
+  depth_n_ = n;
+  lag_n_ = n > 0 ? n - 1 : 0;
+  mark_n_ = n;
+}
+
 StabilityResult StabilityAnalyzer::result(
     std::uint64_t cap_bytes) const noexcept {
   StabilityResult r;
@@ -124,8 +133,25 @@ StabilityResult StabilityAnalyzer::result(
   return r;
 }
 
+StabilityAnalyzer TimeSeries::Channel::analyzer() const noexcept {
+  StabilityAnalyzer a = analyzer_;
+  if (!active_) a.observe_zeros(idle_ticks());
+  return a;
+}
+
 std::vector<SeriesPoint> TimeSeries::Channel::points() const {
   std::vector<SeriesPoint> out;
+  if (!active_) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(idle_ticks(), max_samples_));
+    out.reserve(n);
+    owner_->for_last_ticks(n, [&](sim::Time t) {
+      SeriesPoint pt;
+      pt.t = t;
+      out.push_back(pt);
+    });
+    return out;
+  }
   if (!wrapped_) {
     out.assign(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(next_));
   } else {
@@ -151,6 +177,10 @@ void TimeSeries::Channel::sample(sim::Time now) {
   acc_deq_ = acc_sojourn_ = acc_marks_ = acc_tx_bytes_ = 0;
 
   analyzer_.observe(pt);
+  record(pt);
+}
+
+void TimeSeries::Channel::record(const SeriesPoint& pt) {
   if (max_samples_ == 0) return;
   if (ring_.size() < max_samples_) {
     ring_.push_back(pt);
@@ -166,9 +196,23 @@ void TimeSeries::Channel::sample(sim::Time now) {
 TimeSeries::Channel* TimeSeries::add_channel(std::string name,
                                              std::uint64_t cap_bytes,
                                              DepthProbe probe) {
-  channels_.push_back(std::make_unique<Channel>(
-      std::move(name), cap_bytes, std::move(probe), cfg_.max_samples));
+  channels_.push_back(std::make_unique<Channel>(*this, std::move(name),
+                                                cap_bytes, std::move(probe)));
   return channels_.back().get();
+}
+
+void TimeSeries::activate(Channel& ch) {
+  const std::uint64_t idle = ch.idle_ticks();
+  ch.analyzer_.observe_zeros(idle);
+  for_last_ticks(
+      static_cast<std::size_t>(std::min<std::uint64_t>(idle, cfg_.max_samples)),
+      [&](sim::Time t) {
+        SeriesPoint pt;
+        pt.t = t;
+        ch.record(pt);
+      });
+  ch.active_ = true;
+  active_.push_back(&ch);
 }
 
 void TimeSeries::start(sim::Simulator& sim) {
@@ -180,7 +224,15 @@ void TimeSeries::start(sim::Simulator& sim) {
 void TimeSeries::tick(sim::Simulator& sim) {
   ++ticks_;
   const sim::Time now = sim.now();
-  for (const std::unique_ptr<Channel>& ch : channels_) ch->sample(now);
+  if (cfg_.max_samples > 0) {
+    if (recent_ticks_.size() < cfg_.max_samples) {
+      recent_ticks_.push_back(now);
+    } else {
+      recent_ticks_[recent_next_] = now;
+      if (++recent_next_ == recent_ticks_.size()) recent_next_ = 0;
+    }
+  }
+  for (Channel* ch : active_) ch->sample(now);
   // The tick's own pop already happened: an empty queue here means the run
   // is over bar the sampler, and rescheduling would keep run(kTimeMax)
   // spinning forever. Stop; start() may re-arm.

@@ -13,6 +13,10 @@
 //     a single predictable branch when sampling is off
 //   - per-channel bounded ring buffers of SeriesPoint (O(max_samples)
 //     memory regardless of run length) for --series-out deep dives
+//   - idle channels: a queue's channel sleeps until the queue's first
+//     enqueue -- ticks skip it, and the all-zero run it would have sampled
+//     is filled in closed form when it wakes (or when it is read), so a
+//     tick costs O(active channels), not O(every queue in the fabric)
 //   - an online StabilityAnalyzer fed every tick (O(1) memory: Welford /
 //     Pebay central moments, running lag-1 autocorrelation sums) reducing
 //     each series to deterministic stability metrics -- oscillation score
@@ -122,6 +126,10 @@ class StabilityAnalyzer {
   static constexpr double kSaturationOccupancy = 0.5;
 
   void observe(const SeriesPoint& p) noexcept;
+  /// Bit-identical to n observe() calls with an all-zero SeriesPoint on a
+  /// fresh analyzer: every moment stays +0.0, only the counts move. Valid
+  /// only before the first observe().
+  void observe_zeros(std::uint64_t n) noexcept;
 
   /// `cap_bytes` is the channel's buffer capacity for the saturation test;
   /// pass UINT64_MAX (unbounded) to disable it.
@@ -168,13 +176,19 @@ class TimeSeries {
   /// interval accumulators into a SeriesPoint.
   class Channel {
    public:
-    Channel(std::string name, std::uint64_t cap_bytes, DepthProbe probe,
-            std::size_t max_samples)
-        : name_(std::move(name)),
+    Channel(TimeSeries& owner, std::string name, std::uint64_t cap_bytes,
+            DepthProbe probe)
+        : owner_(&owner),
+          name_(std::move(name)),
           cap_bytes_(cap_bytes),
           probe_(std::move(probe)),
-          max_samples_(max_samples) {}
+          max_samples_(owner.cfg_.max_samples),
+          born_tick_(owner.ticks_) {}
 
+    /// A packet entered the queue: wakes the channel on the first one.
+    void on_enqueue() {
+      if (!active_) owner_->activate(*this);
+    }
     void on_dequeue(sim::Time sojourn, std::uint64_t bytes) noexcept {
       ++acc_deq_;
       acc_sojourn_ += static_cast<std::uint64_t>(sojourn < 0 ? 0 : sojourn);
@@ -186,9 +200,9 @@ class TimeSeries {
     [[nodiscard]] std::uint64_t cap_bytes() const noexcept {
       return cap_bytes_;
     }
-    [[nodiscard]] const StabilityAnalyzer& analyzer() const noexcept {
-      return analyzer_;
-    }
+    /// The reduction of every tick so far (an idle channel's all-zero run
+    /// included).
+    [[nodiscard]] StabilityAnalyzer analyzer() const noexcept;
     /// Retained points, oldest first (at most max_samples; the ring keeps
     /// the most recent ticks).
     [[nodiscard]] std::vector<SeriesPoint> points() const;
@@ -197,11 +211,19 @@ class TimeSeries {
     friend class TimeSeries;
 
     void sample(sim::Time now);
+    void record(const SeriesPoint& pt);
+    /// Ticks this channel has slept through (0 once active).
+    [[nodiscard]] std::uint64_t idle_ticks() const noexcept {
+      return active_ ? 0 : owner_->ticks_ - born_tick_;
+    }
 
+    TimeSeries* owner_;
     std::string name_;
     std::uint64_t cap_bytes_;
     DepthProbe probe_;
     std::size_t max_samples_;
+    std::uint64_t born_tick_;  ///< owner's tick count at registration
+    bool active_ = false;
     // Interval accumulators, drained every tick.
     std::uint64_t acc_deq_ = 0;
     std::uint64_t acc_sojourn_ = 0;
@@ -219,6 +241,9 @@ class TimeSeries {
   TimeSeries& operator=(const TimeSeries&) = delete;
 
   /// Register a channel (stable address for the publisher's lifetime).
+  /// The channel sleeps -- ticks skip it -- until the publisher's first
+  /// on_enqueue(); until then its depth must be zero and it must see no
+  /// on_dequeue()/on_mark().
   Channel* add_channel(std::string name, std::uint64_t cap_bytes,
                        DepthProbe probe);
 
@@ -261,6 +286,18 @@ class TimeSeries {
 
  private:
   void tick(sim::Simulator& sim);
+  /// Wake an idle channel: fill the all-zero run it slept through, then
+  /// tick it from now on.
+  void activate(Channel& ch);
+  /// Calls f(t) for the last n tick times, oldest first (n <= the retained
+  /// min(ticks, max_samples)).
+  template <class F>
+  void for_last_ticks(std::size_t n, F&& f) const {
+    const std::size_t size = recent_ticks_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      f(recent_ticks_[(recent_next_ + size - n + i) % size]);
+    }
+  }
 
   static TimeSeries*& tls_slot() noexcept {
     static thread_local TimeSeries* current = nullptr;
@@ -269,6 +306,12 @@ class TimeSeries {
 
   TimeSeriesConfig cfg_;
   std::vector<std::unique_ptr<Channel>> channels_;
+  /// The channels a tick samples (registration order of waking).
+  std::vector<Channel*> active_;
+  /// Times of the last max_samples ticks (a ring; recent_next_ is the slot
+  /// the next tick overwrites once full) -- the t of an idle run's points.
+  std::vector<sim::Time> recent_ticks_;
+  std::size_t recent_next_ = 0;
   std::uint64_t ticks_ = 0;
   bool armed_ = false;
 };

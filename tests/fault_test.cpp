@@ -228,6 +228,108 @@ TEST(PortFaults, BufferedPacketsSurviveOutageAndResumeOnLinkUp) {
   EXPECT_GT(rig.sim.now(), 100 * sim::kMicrosecond);
 }
 
+// A port into a Host with a receive-stack delay: the link arrival and the
+// stack delay fold into one event. 1500B serializes in 12us, so a packet
+// enqueued at 0 arrives at t_a = 13us and is delivered at t_a + 20us.
+struct HostRig {
+  static constexpr sim::Time kArrival = 13 * sim::kMicrosecond;
+  static constexpr sim::Time kStack = 20 * sim::kMicrosecond;
+
+  HostRig() : host(sim, "h0", 0, net::PortConfig{}, kStack) {
+    net::PortConfig cfg;
+    cfg.prop_delay = sim::kMicrosecond;
+    port = std::make_unique<net::Port>(sim, "p0", cfg,
+                                       std::make_unique<net::FifoScheduler>(),
+                                       std::make_unique<net::NullMarker>());
+    port->connect(&host, 0);
+    host.bind(80, [this](net::PacketPtr) { delivered_at.push_back(sim.now()); });
+  }
+  void send_one() {
+    auto p = make_test_packet(1500);
+    p->dport = 80;
+    port->enqueue(std::move(p), 0);
+  }
+  sim::Simulator sim;
+  net::Host host;
+  std::unique_ptr<net::Port> port;
+  std::vector<sim::Time> delivered_at;
+};
+
+TEST(StackFold, DeliveryCostsOneEventAfterSerialization) {
+  HostRig rig;
+  rig.send_one();
+  rig.sim.run();
+  ASSERT_EQ(rig.delivered_at.size(), 1u);
+  EXPECT_EQ(rig.delivered_at[0], HostRig::kArrival + HostRig::kStack);
+  // tx-done plus the folded arrival: no separate stack-delay event.
+  EXPECT_EQ(rig.sim.events_executed(), 2u);
+  EXPECT_EQ(rig.host.delivered(), 1u);
+}
+
+/// Times of the fault drops a port reports.
+class FaultDropTimes final : public net::PortObserver {
+ public:
+  void on_event(const net::TraceRecord& r) override {
+    if (r.event == net::TraceEvent::kFaultDrop) times.push_back(r.t);
+  }
+  std::vector<sim::Time> times;
+};
+
+TEST(StackFold, LinkDownExactlyAtArrivalDrops) {
+  HostRig rig;
+  FaultDropTimes drops;
+  rig.port->set_observer(&drops);
+  FaultInjector injector(rig.sim);
+  injector.schedule_link_down(*rig.port, HostRig::kArrival,
+                              sim::kMillisecond);
+  rig.send_one();
+  rig.sim.run();
+  EXPECT_TRUE(rig.delivered_at.empty());
+  EXPECT_EQ(rig.port->counters().fault_drops, 1u);
+  EXPECT_EQ(rig.host.delivered(), 0u);
+  // Reported at the arrival instant, not after the stack delay.
+  EXPECT_EQ(drops.times, std::vector<sim::Time>{HostRig::kArrival});
+}
+
+TEST(StackFold, LinkDownAfterArrivalStillDelivers) {
+  // The packet left the wire at t_a: an outage inside (t_a, t_a + stack]
+  // hits the host's stack, not the link.
+  for (const sim::Time down :
+       {HostRig::kArrival + 1, HostRig::kArrival + HostRig::kStack}) {
+    HostRig rig;
+    FaultInjector injector(rig.sim);
+    injector.schedule_link_down(*rig.port, down, sim::kMillisecond);
+    rig.send_one();
+    rig.sim.run();
+    EXPECT_EQ(rig.delivered_at.size(), 1u) << "down at " << down;
+    EXPECT_EQ(rig.port->counters().fault_drops, 0u) << "down at " << down;
+  }
+}
+
+TEST(StackFold, OutageHealedBeforeArrivalDelivers) {
+  // The link is checked at tx-done and at the arrival instant only: an
+  // outage that opens and heals while the packet propagates misses it.
+  HostRig rig;
+  FaultInjector injector(rig.sim);
+  injector.schedule_link_down(*rig.port, 12 * sim::kMicrosecond + 100, 200);
+  rig.send_one();
+  rig.sim.run();
+  EXPECT_EQ(rig.delivered_at.size(), 1u);
+  EXPECT_EQ(rig.port->counters().fault_drops, 0u);
+}
+
+TEST(StackFold, UnscheduledLinkDownDuringPropagationDrops) {
+  // A bare set_link_up(false) the port could not see coming is caught when
+  // the folded event fires.
+  HostRig rig;
+  rig.sim.schedule_at(12 * sim::kMicrosecond + 500,
+                      [&] { rig.port->set_link_up(false); });
+  rig.send_one();
+  rig.sim.run();
+  EXPECT_TRUE(rig.delivered_at.empty());
+  EXPECT_EQ(rig.port->counters().fault_drops, 1u);
+}
+
 TEST(PortFaults, BernoulliLossDropsRequestedFraction) {
   PortRig rig;
   BernoulliLoss loss(0.3, 7);
@@ -415,6 +517,31 @@ TEST(Invariants, DropsLeaveOccupancyUnchanged) {
   // A drop that pretends to change occupancy is flagged.
   checker.on_event(make_record(net::TraceEvent::kDrop, 3, 500, 600, 600));
   EXPECT_EQ(checker.violations(), 2u);
+}
+
+TEST(Invariants, LedgersAreKeptPerPortIndex) {
+  net::InvariantChecker checker(/*fail_fast=*/false);
+  auto on_port = [](net::TraceRecord rec, std::uint32_t index) {
+    rec.port_index = index;
+    return rec;
+  };
+  // Two ports fill their own ledgers; interleaving them balances only
+  // because each record lands in its own port's ledger.
+  checker.on_event(
+      on_port(make_record(net::TraceEvent::kEnqueue, 0, 100, 100, 100), 0));
+  checker.on_event(
+      on_port(make_record(net::TraceEvent::kEnqueue, 0, 300, 300, 300), 3));
+  checker.on_event(
+      on_port(make_record(net::TraceEvent::kDequeue, 1, 100, 0, 0), 0));
+  checker.on_event(
+      on_port(make_record(net::TraceEvent::kDequeue, 1, 300, 0, 0), 3));
+  EXPECT_EQ(checker.violations(), 0u) << checker.first_violation();
+  EXPECT_EQ(checker.ports_watched(), 4u);
+  // The same stream on one index double-counts and is caught.
+  net::InvariantChecker merged(/*fail_fast=*/false);
+  merged.on_event(make_record(net::TraceEvent::kEnqueue, 0, 100, 100, 100));
+  merged.on_event(make_record(net::TraceEvent::kEnqueue, 0, 300, 300, 300));
+  EXPECT_GT(merged.violations(), 0u);
 }
 
 // ----------------------------------------------- topology target resolution

@@ -157,7 +157,7 @@ TEST(FlowSlab, PortsRecycleThroughPerHostFreeLists) {
 
   // The same port number comes back instead of bumping the host's counter,
   // so a host's port footprint is bounded by peak concurrency -- not by the
-  // lifetime flow count (Host::allocate_port wraps at 64k).
+  // lifetime flow count (Host::allocate_port runs out at 64k).
   EXPECT_EQ(slab.checkout_port(h), port);
   // A different host draws from its own pool.
   net::Host other(s, "h1", 2, nic);

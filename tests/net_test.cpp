@@ -294,13 +294,34 @@ TEST(SwitchTest, UnroutedPacketsAreCountedAndDropped) {
   EXPECT_EQ(sw.unrouted(), 1u);
 }
 
+/// Records the queue of every enqueue on the ports it watches.
+class EnqueueQueues final : public PortObserver {
+ public:
+  void on_event(const TraceRecord& r) override {
+    if (r.event == TraceEvent::kEnqueue) queues.push_back(r.queue);
+  }
+  std::vector<std::size_t> queues;
+};
+
 TEST(SwitchTest, DscpClassifierClampsToQueueCount) {
-  const auto c = dscp_classifier();
-  auto p = make_test_packet(100, /*dscp=*/6);
-  EXPECT_EQ(c(*p, 8), 6u);
-  EXPECT_EQ(c(*p, 4), 3u);  // clamped
-  p->dscp = 0;
-  EXPECT_EQ(c(*p, 4), 0u);
+  sim::Simulator s;
+  Switch sw(s, "sw");
+  PortConfig cfg;
+  cfg.num_queues = 4;
+  const auto p = sw.add_port(cfg, std::make_unique<sched::DwrrScheduler>(
+                                      std::vector<std::uint64_t>(4, 1500)),
+                             std::make_unique<NullMarker>());
+  sw.add_route(1, {p});
+  EnqueueQueues seen;
+  sw.port(p).set_observer(&seen);
+  for (std::uint8_t dscp = 0; dscp < 10; ++dscp) {
+    auto pkt = make_test_packet(100, dscp);
+    pkt->dst = 1;
+    sw.receive(std::move(pkt), 0);
+  }
+  // dscp d lands in queue min(d, 3).
+  EXPECT_EQ(seen.queues, (std::vector<std::size_t>{0, 1, 2, 3, 3, 3, 3, 3, 3,
+                                                   3}));
 }
 
 TEST(SwitchTest, EcmpSpreadsFlowsButPinsEachFlow) {
@@ -400,6 +421,39 @@ TEST(HostTest, EphemeralPortsNeverRepeat) {
   std::set<std::uint16_t> seen;
   for (int i = 0; i < 1000; ++i) {
     EXPECT_TRUE(seen.insert(h.allocate_port()).second);
+  }
+}
+
+TEST(HostTest, AllocatingPastThePortRangeThrows) {
+  sim::Simulator s;
+  Host h(s, "h7", 1, PortConfig{});
+  for (std::uint32_t port = Host::kFirstEphemeralPort; port <= 65535; ++port) {
+    ASSERT_EQ(h.allocate_port(), port);
+  }
+  try {
+    h.allocate_port();
+    FAIL() << "allocate_port wrapped past 65535";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("h7"), std::string::npos);
+  }
+}
+
+TEST(HostTest, BindingABoundPortThrows) {
+  sim::Simulator s;
+  Host h(s, "h3", 1, PortConfig{});
+  for (const std::uint16_t port : {std::uint16_t{7}, h.allocate_port()}) {
+    h.bind(port, [](PacketPtr) {});
+    try {
+      h.bind(port, [](PacketPtr) {});
+      FAIL() << "rebinding port " << port << " did not throw";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("h3"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(port)), std::string::npos) << what;
+    }
+    // Unbinding frees the port for the next owner.
+    h.unbind(port);
+    EXPECT_NO_THROW(h.bind(port, [](PacketPtr) {}));
   }
 }
 

@@ -195,6 +195,7 @@ TEST(TimeSeries, RingKeepsLastMaxSamplesButAnalyzerSeesAll) {
   auto* ch = ts.add_channel("q0", 100'000, [&depth] {
     return std::pair<std::uint64_t, std::uint64_t>{depth, depth / 1'500};
   });
+  ch->on_enqueue();  // the queue is in use from the start
 
   sim::Simulator s;
   // Keep the event queue non-empty through 10 sampler ticks; the depth
@@ -227,6 +228,7 @@ TEST(TimeSeries, AccumulatorsDrainPerTick) {
   sim::Simulator s;
   // Two dequeues and a mark before the first tick; nothing afterwards.
   s.schedule_at(5 * sim::kMicrosecond, [ch] {
+    ch->on_enqueue();
     ch->on_dequeue(2'000, 1'500);
     ch->on_dequeue(4'000, 1'500);
     ch->on_mark();
@@ -281,12 +283,128 @@ TEST(TimeSeries, DominantChannelByTxBytesThenName) {
   // tx bytes reach the analyzer at tick time, so drive one sampling tick.
   sim::Simulator s;
   s.schedule_at(5 * sim::kMicrosecond, [a, b] {
+    for (auto* ch : {a, b}) ch->on_enqueue();
     a->on_dequeue(1'000, 3'000);
     b->on_dequeue(1'000, 1'500);
   });
   ts.start(s);
   s.run();
   EXPECT_EQ(ts.dominant_channel()->name(), "p0.q1");  // most bytes wins
+}
+
+void expect_same_result(const obs::StabilityResult& a,
+                        const obs::StabilityResult& b) {
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.oscillation_score, b.oscillation_score);
+  EXPECT_EQ(a.sojourn_cv, b.sojourn_cv);
+  EXPECT_EQ(a.mark_burstiness, b.mark_burstiness);
+  EXPECT_EQ(a.depth_mean_bytes, b.depth_mean_bytes);
+  EXPECT_EQ(a.depth_cv, b.depth_cv);
+  EXPECT_EQ(a.lag1_autocorr, b.lag1_autocorr);
+  EXPECT_EQ(a.bimodality, b.bimodality);
+  EXPECT_EQ(a.regime, b.regime);
+}
+
+TEST(StabilityAnalyzer, ObserveZerosMatchesZeroObservationsBitForBit) {
+  for (const std::uint64_t zeros : {0u, 1u, 2u, 7u, 300u}) {
+    obs::StabilityAnalyzer stepped;
+    obs::StabilityAnalyzer closed;
+    for (std::uint64_t i = 0; i < zeros; ++i) stepped.observe({});
+    closed.observe_zeros(zeros);
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      obs::SeriesPoint p;
+      p.depth_bytes = (i * 7919) % 30'000;
+      p.deq_packets = i % 3;
+      p.sojourn_sum_ns = (i % 3) * (1'000 + i * 13);
+      p.marks = i % 5 == 0 ? 2 : 0;
+      p.tx_bytes = i * 100;
+      stepped.observe(p);
+      closed.observe(p);
+    }
+    SCOPED_TRACE(zeros);
+    expect_same_result(stepped.result(100'000), closed.result(100'000));
+    EXPECT_EQ(stepped.total_tx_bytes(), closed.total_tx_bytes());
+  }
+}
+
+/// Two channels over one depth variable: `eager` is woken at once and
+/// ticked from the start, `idle` sleeps until its queue's first enqueue.
+/// Same series either way.
+struct IdlePair {
+  explicit IdlePair(std::size_t max_samples) : ts(config(max_samples)) {
+    const auto probe = [this] {
+      return std::pair<std::uint64_t, std::uint64_t>{depth, depth / 1'500};
+    };
+    eager = ts.add_channel("eager", 100'000, probe);
+    eager->on_enqueue();
+    idle = ts.add_channel("idle", 100'000, probe);
+  }
+  static obs::TimeSeriesConfig config(std::size_t max_samples) {
+    obs::TimeSeriesConfig cfg;
+    cfg.interval = 10 * sim::kMicrosecond;
+    cfg.max_samples = max_samples;
+    return cfg;
+  }
+  void expect_same() const {
+    expect_same_result(eager->analyzer().result(eager->cap_bytes()),
+                       idle->analyzer().result(idle->cap_bytes()));
+    const auto a = eager->points();
+    const auto b = idle->points();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].t, b[i].t) << i;
+      EXPECT_EQ(a[i].depth_bytes, b[i].depth_bytes) << i;
+      EXPECT_EQ(a[i].deq_packets, b[i].deq_packets) << i;
+      EXPECT_EQ(a[i].marks, b[i].marks) << i;
+      EXPECT_EQ(a[i].tx_bytes, b[i].tx_bytes) << i;
+    }
+  }
+  obs::TimeSeries ts;
+  std::uint64_t depth = 0;
+  obs::TimeSeries::Channel* eager;
+  obs::TimeSeries::Channel* idle;
+};
+
+TEST(TimeSeries, IdleChannelFillsItsZeroRunOnWake) {
+  // Ring sizes below, at and above the 23 idle ticks.
+  for (const std::size_t ring : {std::size_t{0}, std::size_t{4},
+                                 std::size_t{23}, std::size_t{64}}) {
+    SCOPED_TRACE(ring);
+    IdlePair pair(ring);
+    sim::Simulator s;
+    // The queue wakes at 235us (after 23 all-zero ticks), then drains.
+    s.schedule_at(235 * sim::kMicrosecond, [&] {
+      pair.eager->on_enqueue();
+      pair.idle->on_enqueue();
+      pair.depth = 3'000;
+    });
+    s.schedule_at(262 * sim::kMicrosecond, [&] {
+      for (auto* ch : {pair.eager, pair.idle}) {
+        ch->on_dequeue(4'000, 1'500);
+        ch->on_mark();
+      }
+      pair.depth = 1'500;
+    });
+    s.schedule_at(400 * sim::kMicrosecond, [&] { pair.depth = 0; });
+    s.schedule_at(500 * sim::kMicrosecond, [] {});
+    pair.ts.start(s);
+    s.run();
+    EXPECT_GE(pair.ts.ticks(), 50u);
+    pair.expect_same();
+  }
+}
+
+TEST(TimeSeries, NeverWokenIdleChannelReadsAsZeros) {
+  for (const std::size_t ring : {std::size_t{4}, std::size_t{2048}}) {
+    SCOPED_TRACE(ring);
+    IdlePair pair(ring);
+    sim::Simulator s;
+    s.schedule_at(95 * sim::kMicrosecond, [] {});
+    pair.ts.start(s);
+    s.run();
+    EXPECT_EQ(pair.idle->analyzer().samples(), pair.ts.ticks());
+    pair.expect_same();
+  }
 }
 
 // ------------------------------------------------- experiment / sweep -------
