@@ -52,21 +52,6 @@ core::SchedKind sched_from_token(const std::string& t) {
   std::exit(2);
 }
 
-std::vector<std::string> split_csv(const char* list) {
-  std::vector<std::string> out;
-  std::string token;
-  for (const char* p = list;; ++p) {
-    if (*p == '\0' || *p == ',') {
-      if (!token.empty()) out.push_back(token);
-      token.clear();
-      if (*p == '\0') break;
-    } else {
-      token += *p;
-    }
-  }
-  return out;
-}
-
 void usage(const char* argv0) {
   std::printf(
       "usage: %s [axis flags] [sweep flags]\n"
@@ -123,48 +108,39 @@ int main(int argc, char** argv) {
     try {
       if (flag == "--schemes") {
         axes.schemes.clear();
-        for (const auto& t : split_csv(next())) {
+        for (const auto& t : core::split_list(flag, next())) {
           axes.schemes.push_back({t, scheme_from_token(t)});
         }
       } else if (flag == "--scheds") {
         axes.scheds.clear();
-        for (const auto& t : split_csv(next())) {
+        for (const auto& t : core::split_list(flag, next())) {
           axes.scheds.emplace_back(t, sched_from_token(t));
         }
       } else if (flag == "--thresholds-us") {
-        axes.thresholds_us.clear();
-        for (const auto& t : split_csv(next())) {
-          axes.thresholds_us.push_back(std::strtod(t.c_str(), nullptr));
-        }
+        axes.thresholds_us = core::to_double_list(flag, next());
       } else if (flag == "--loads") {
-        axes.loads.clear();
-        for (const auto& t : split_csv(next())) {
-          axes.loads.push_back(std::strtod(t.c_str(), nullptr));
-        }
+        axes.loads = core::to_double_list(flag, next());
       } else if (flag == "--buffers") {
-        axes.buffer_bytes.clear();
-        for (const auto& t : split_csv(next())) {
-          axes.buffer_bytes.push_back(std::strtoull(t.c_str(), nullptr, 10));
-        }
+        axes.buffer_bytes = core::to_u64_list(flag, next());
       } else if (flag == "--sample-interval-us") {
-        interval_us = std::strtod(next(), nullptr);
+        interval_us = core::to_double(flag, next());
         if (interval_us <= 0) {
           std::fprintf(stderr, "--sample-interval-us: must be > 0\n");
           return 2;
         }
       } else if (flag == "--flows") {
-        flows = std::strtoull(next(), nullptr, 10);
+        flows = core::to_u64(flag, next());
       } else if (flag == "--seed") {
-        seed = std::strtoull(next(), nullptr, 10);
+        seed = core::to_u64(flag, next());
       } else if (flag == "--jobs") {
-        jobs = std::strtoull(next(), nullptr, 10);
+        jobs = core::to_u64(flag, next());
       } else if (flag == "--json") {
         json_path = next();
       } else if (flag == "--on-failure") {
         opt.failure_policy = runner::failure_policy_from_name(next());
         on_failure_set = true;
       } else if (flag == "--retries") {
-        opt.retry.max_attempts = std::strtoull(next(), nullptr, 10);
+        opt.retry.max_attempts = core::to_u64(flag, next());
         if (opt.retry.max_attempts == 0) {
           std::fprintf(stderr, "--retries: must be >= 1\n");
           return 2;
@@ -182,7 +158,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", flag.c_str(), e.what());
+      // Every parser above names the flag (or its value) in the message.
+      std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
   }

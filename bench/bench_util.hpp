@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cli.hpp"
 #include "core/experiment.hpp"
 #include "fault/fault.hpp"
 #include "runner/journal.hpp"
@@ -64,11 +65,11 @@ struct Args {
       };
       try {
         if (flag == "--flows") {
-          a.flows = std::strtoull(next(), nullptr, 10);
+          a.flows = core::to_u64(flag, next());
         } else if (flag == "--seed") {
-          a.seed = std::strtoull(next(), nullptr, 10);
+          a.seed = core::to_u64(flag, next());
         } else if (flag == "--jobs") {
-          a.jobs = std::strtoull(next(), nullptr, 10);
+          a.jobs = core::to_u64(flag, next());
         } else if (flag == "--json") {
           a.json = next();
         } else if (flag == "--metrics-out") {
@@ -80,7 +81,7 @@ struct Args {
         } else if (flag == "--on-failure") {
           a.on_failure = runner::failure_policy_from_name(next());
         } else if (flag == "--retries") {
-          a.retries = std::strtoull(next(), nullptr, 10);
+          a.retries = core::to_u64(flag, next());
           if (a.retries == 0) {
             std::fprintf(stderr, "--retries: must be >= 1\n");
             std::exit(2);
@@ -91,15 +92,7 @@ struct Args {
         } else if (flag == "--resume") {
           a.resume = next();
         } else if (flag == "--loads") {
-          a.loads.clear();
-          std::string list = next();
-          for (std::size_t pos = 0; pos < list.size();) {
-            const auto comma = list.find(',', pos);
-            const auto token = list.substr(pos, comma - pos);
-            a.loads.push_back(std::strtod(token.c_str(), nullptr));
-            if (comma == std::string::npos) break;
-            pos = comma + 1;
-          }
+          a.loads = core::to_double_list(flag, next());
         } else if (flag == "--help" || flag == "-h") {
           std::printf(
               "usage: %s [--flows N] [--loads l1,l2,...] [--seed S]\n"
@@ -142,7 +135,8 @@ struct Args {
           std::exit(2);
         }
       } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", flag.c_str(), e.what());
+        // Every parser above names the flag (or its value) in the message.
+        std::fprintf(stderr, "%s\n", e.what());
         std::exit(2);
       }
     }

@@ -34,9 +34,9 @@
 #include "net/packet.hpp"
 #include "net/port.hpp"
 #include "net/queue.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
-#include "runner/json.hpp"
 #include "sched/dwrr.hpp"
 #include "sched/wfq.hpp"
 #include "sim/event_queue.hpp"
@@ -561,42 +561,6 @@ BenchResult bench_port_timeseries(std::string label, bool with_series,
       std::move(label), kPortBatch, [&] { rig.batch(); }, min_secs);
 }
 
-/// Same pipeline with a real scheduler/marker pair (DWRR + TCN -- the
-/// paper's headline combination) dispatched statically vs pinned to the
-/// virtual path via PortConfig::force_virtual_dispatch. Identical traffic,
-/// identical state evolution; the only difference is the call mechanism on
-/// the five per-packet scheduler/marker hooks.
-BenchResult bench_port_dispatch(std::string label, bool force_virtual,
-                                double min_secs) {
-  net::PacketUidScope uids;
-  net::PacketPool pool;
-  net::PacketPool::Scope scope(pool);
-
-  sim::Simulator s;
-  net::PortConfig cfg;
-  cfg.rate_bps = 10'000'000'000ULL;
-  cfg.num_queues = 2;
-  cfg.force_virtual_dispatch = force_virtual;
-  net::Port port(s, "bench.p1", cfg,
-                 std::make_unique<sched::DwrrScheduler>(
-                     std::vector<std::uint64_t>{1500, 1500}),
-                 std::make_unique<aqm::TcnMarker>(100 * sim::kMicrosecond));
-  SinkNode sink;
-  port.connect(&sink, 0);
-  return measure(
-      std::move(label), kPortBatch,
-      [&] {
-        for (int i = 0; i < kPortBatch; ++i) {
-          auto p = net::make_packet();
-          p->size = 1500;
-          p->ecn = net::Ecn::kEct0;
-          port.enqueue(std::move(p), i % 2);
-        }
-        s.run();
-      },
-      min_secs);
-}
-
 // ------------------------------------------------- AQM decision / scheds ----
 
 net::MarkContext make_ctx(sim::Time now) {
@@ -709,7 +673,7 @@ void write_json(const std::vector<BenchResult>& results, double wall_ms,
   std::uint64_t total_ops = 0;
   for (const auto& r : results) total_ops += r.ops;
 
-  runner::JsonWriter w;
+  obs::JsonWriter w;
   w.begin_object();
   w.key("schema").value("tcn-bench-1");
   w.key("name").value("micro");
@@ -804,10 +768,6 @@ int main(int argc, char** argv) {
       bench_port_timeseries("port_pipeline_timeseries_off", false, min_secs));
   results.push_back(
       bench_port_timeseries("port_pipeline_timeseries_on", true, min_secs));
-  results.push_back(
-      bench_port_dispatch("port_pipeline_static", false, min_secs));
-  results.push_back(
-      bench_port_dispatch("port_pipeline_virtual", true, min_secs));
 
   {
     aqm::TcnMarker tcn(100 * sim::kMicrosecond);
@@ -902,12 +862,6 @@ int main(int argc, char** argv) {
     std::printf("event queue speedup (calendar vs binary heap):        %.2fx\n",
                 eq_cal->ops_per_sec() / eq_heap->ops_per_sec());
   }
-  const auto* disp_st = find("port_pipeline_static");
-  const auto* disp_vt = find("port_pipeline_virtual");
-  if (disp_st && disp_vt && disp_vt->ops_per_sec() > 0) {
-    std::printf("port path speedup (static vs virtual dispatch):       %.2fx\n",
-                disp_st->ops_per_sec() / disp_vt->ops_per_sec());
-  }
 
   if (!json_path.empty()) write_json(results, wall_ms, json_path);
 
@@ -918,8 +872,8 @@ int main(int argc, char** argv) {
     constexpr int kGateReps = 7;
     // CI acceptance: the calendar queue must beat the in-binary heap
     // baseline by >= 1.5x on the event path (same driver, same entries --
-    // pure container structure). Dispatch and pipeline ratios are reported
-    // above but not gated: they ride on whole-pipeline denominators where
+    // pure container structure). Pipeline ratios are reported above but
+    // not gated: they ride on whole-pipeline denominators where
     // run-to-run noise on shared CI boxes exceeds the win being measured.
     constexpr double kEventQueueGate = 1.5;
     HoldModel<sim::CalendarQueue> calendar;

@@ -62,10 +62,6 @@ class WrappingClock {
 
 class HwTcnMarker final : public net::Marker {
  public:
-  [[nodiscard]] net::MarkerVariant self_variant() noexcept override {
-    return this;
-  }
-
   /// `threshold` is T = RTT x lambda; it must fit in the clock horizon (the
   /// paper sizes the clock so a datacenter RTT always does).
   HwTcnMarker(sim::Time threshold, std::uint32_t resolution_ns = 4,

@@ -9,10 +9,11 @@
 #include "traffic/spec.hpp"
 
 namespace tcn::core {
-namespace {
 
 std::uint64_t to_u64(const std::string& flag, const std::string& v) {
   try {
+    // stoull would skip leading blanks and wrap a leading '-'.
+    if (v.empty() || v[0] < '0' || v[0] > '9') throw std::invalid_argument(v);
     std::size_t pos = 0;
     const auto n = std::stoull(v, &pos);
     if (pos != v.size()) throw std::invalid_argument(v);
@@ -35,17 +36,35 @@ double to_double(const std::string& flag, const std::string& v) {
   }
 }
 
-std::vector<std::string> split(const std::string& list) {
+std::vector<std::string> split_list(const std::string& flag,
+                                    const std::string& list) {
   std::vector<std::string> out;
   std::string token;
   std::istringstream in(list);
   while (std::getline(in, token, ',')) {
     if (!token.empty()) out.push_back(token);
   }
+  if (out.empty()) throw std::invalid_argument(flag + ": empty list");
   return out;
 }
 
-}  // namespace
+std::vector<double> to_double_list(const std::string& flag,
+                                   const std::string& list) {
+  std::vector<double> out;
+  for (const auto& t : split_list(flag, list)) {
+    out.push_back(to_double(flag, t));
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> to_u64_list(const std::string& flag,
+                                       const std::string& list) {
+  std::vector<std::uint64_t> out;
+  for (const auto& t : split_list(flag, list)) {
+    out.push_back(to_u64(flag, t));
+  }
+  return out;
+}
 
 Scheme parse_scheme(const std::string& name) {
   if (name == "tcn") return Scheme::kTcn;
@@ -299,11 +318,8 @@ FctExperiment parse_cli(const std::vector<std::string>& args) {
       services_set = true;
     } else if (flag == "--workload") {
       cfg.service_workloads.clear();
-      for (const auto& w : split(value())) {
+      for (const auto& w : split_list(flag, value())) {
         cfg.service_workloads.push_back(parse_workload(w));
-      }
-      if (cfg.service_workloads.empty()) {
-        throw std::invalid_argument("--workload: empty list");
       }
       workloads_set = true;
     } else if (flag == "--pias") {

@@ -3,6 +3,7 @@
 // (the `tcnsim` tool). The parser lives in the library so it is unit-tested.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,20 @@ SchedKind parse_sched(const std::string& name);
 /// Fills `sched` (kind + parameters) or throws std::invalid_argument.
 void parse_sched_spec(const std::string& spec, SchedConfig& sched);
 workload::Kind parse_workload(const std::string& name);
+
+/// Numeric flag values, shared by tcnsim and the bench front ends. The
+/// whole of `v` must be the number; anything else throws
+/// std::invalid_argument naming `flag`.
+std::uint64_t to_u64(const std::string& flag, const std::string& v);
+double to_double(const std::string& flag, const std::string& v);
+/// Comma-separated list with empty items skipped; throws naming `flag` when
+/// no item is left.
+std::vector<std::string> split_list(const std::string& flag,
+                                    const std::string& list);
+std::vector<double> to_double_list(const std::string& flag,
+                                   const std::string& list);
+std::vector<std::uint64_t> to_u64_list(const std::string& flag,
+                                       const std::string& list);
 
 /// Render a report the way the tool prints it.
 std::string format_report(const FctExperiment& cfg, const FctReport& report);

@@ -5,30 +5,8 @@
 #include <iterator>
 #include <stdexcept>
 #include <utility>
-#include <variant>
 
-// Closed-world upcall (see net/dispatch.hpp): the concrete scheduler and
-// marker headers are pulled in HERE -- in the .cpp only, never in a net/
-// interface header -- so std::visit below sees complete final classes and
-// compiles each alternative down to a direct, inlinable call.
-#include "aqm/codel.hpp"
-#include "aqm/hw_tcn.hpp"
-#include "aqm/mq_ecn.hpp"
-#include "aqm/pie.hpp"
-#include "aqm/rate_estimator.hpp"
-#include "aqm/red_ecn.hpp"
-#include "aqm/red_prob.hpp"
-#include "aqm/tcn.hpp"
-#include "net/fifo_scheduler.hpp"
 #include "net/host.hpp"
-#include "sched/aifo.hpp"
-#include "sched/dwrr.hpp"
-#include "sched/pifo.hpp"
-#include "sched/sp_pifo.hpp"
-#include "sched/sp.hpp"
-#include "sched/sp_hybrid.hpp"
-#include "sched/wfq.hpp"
-#include "sched/wrr.hpp"
 
 namespace tcn::net {
 
@@ -65,16 +43,6 @@ Port::Port(sim::Simulator& sim, std::string name, PortConfig cfg,
         "Port: rate_bps * rate_limit_fraction rounds to zero");
   }
   sched_->bind(&queues_, effective_rate_bps_);
-  // Capture the concrete types once; every hot call below goes through the
-  // variants. force_virtual_dispatch pins the base-pointer alternative so
-  // benches can measure the devirtualization win on identical behaviour.
-  if (cfg.force_virtual_dispatch) {
-    sched_v_ = SchedulerVariant{sched_.get()};
-    marker_v_ = MarkerVariant{marker_.get()};
-  } else {
-    sched_v_ = sched_->self_variant();
-    marker_v_ = marker_->self_variant();
-  }
   resolve_metrics();
   resolve_timeseries();
 }
@@ -215,12 +183,7 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
   // Scheduler admission control (e.g. AIFO): a rejection here is a
   // *scheduling* decision, accounted apart from buffer and fault drops, and
   // invisible to the marker (the packet never enters a queue).
-  const bool admitted = std::visit(
-      [&](auto* s) {
-        return s->admit(queue, *p, sim_.now(), total_bytes_, buffer_limit_);
-      },
-      sched_v_);
-  if (!admitted) {
+  if (!sched_->admit(queue, *p, sim_.now(), total_bytes_, buffer_limit_)) {
     ++counters_.sched_drops;
     counters_.sched_drop_bytes += p->size;
     if (metrics_.enabled) metrics_.drops_sched->inc();
@@ -237,17 +200,14 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
 
   Packet& ref = *p;
   queues_[queue].push(std::move(p));
-  std::visit([&](auto* s) { s->on_enqueue(queue, ref, sim_.now()); },
-             sched_v_);
+  sched_->on_enqueue(queue, ref, sim_.now());
 
   const MarkContext ctx{.now = sim_.now(),
                         .queue = queue,
                         .queue_bytes = queues_[queue].bytes(),
                         .port_bytes = total_bytes_,
                         .link_rate_bps = effective_rate_bps_};
-  const bool mark_enq =
-      std::visit([&](auto* m) { return m->on_enqueue(ctx, ref); }, marker_v_);
-  if (mark_enq && ref.ect()) {
+  if (marker_->on_enqueue(ctx, ref) && ref.ect()) {
     ref.ecn = Ecn::kCe;
     ++counters_.marks;
     if (metrics_.enabled) {
@@ -265,13 +225,12 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
 void Port::try_transmit() {
   if (busy_ || !link_up_ || total_bytes_ == 0) return;
 
-  const std::size_t q =
-      std::visit([&](auto* s) { return s->select(sim_.now()); }, sched_v_);
+  const std::size_t q = sched_->select(sim_.now());
   assert(q < queues_.size() && !queues_[q].empty());
 
   PacketPtr p = queues_[q].pop();
   total_bytes_ -= p->size;
-  std::visit([&](auto* s) { s->on_dequeue(q, *p, sim_.now()); }, sched_v_);
+  sched_->on_dequeue(q, *p, sim_.now());
 
   const MarkContext ctx{.now = sim_.now(),
                         .queue = q,
@@ -279,9 +238,7 @@ void Port::try_transmit() {
                         .port_bytes = total_bytes_,
                         .link_rate_bps = effective_rate_bps_};
   const sim::Time sojourn = sim_.now() - p->enqueue_ts;
-  const bool mark_deq =
-      std::visit([&](auto* m) { return m->on_dequeue(ctx, *p); }, marker_v_);
-  if (mark_deq && p->ect()) {
+  if (marker_->on_dequeue(ctx, *p) && p->ect()) {
     p->ecn = Ecn::kCe;
     ++counters_.marks;
     if (metrics_.enabled) {

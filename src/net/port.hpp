@@ -51,10 +51,6 @@ struct PortConfig {
   std::uint64_t buffer_bytes = UINT64_MAX;
   /// Drain-rate shaping as a fraction of rate_bps (Sec. 5 rate limiter).
   double rate_limit_fraction = 1.0;
-  /// Pin the scheduler/marker to the virtual-dispatch path even when the
-  /// concrete type is known (see net/dispatch.hpp). Benchmarking knob --
-  /// behaviour is identical either way, only the call mechanism differs.
-  bool force_virtual_dispatch = false;
 };
 
 class Port {
@@ -191,11 +187,6 @@ class Port {
   std::uint64_t effective_rate_bps_;
   std::unique_ptr<Scheduler> sched_;
   std::unique_ptr<Marker> marker_;
-  /// Concrete-type handles to *sched_/*marker_, captured once at
-  /// construction via self_variant(); the hot path dispatches through these
-  /// (std::visit over final classes = direct calls) instead of the vtable.
-  SchedulerVariant sched_v_;
-  MarkerVariant marker_v_;
   std::vector<PacketQueue> queues_;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t buffer_limit_;

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/cli.hpp"
 
@@ -154,6 +155,38 @@ TEST(Cli, Errors) {
   EXPECT_THROW(parse({"--wat"}), std::invalid_argument);
   EXPECT_THROW(parse({"--topology", "ring"}), std::invalid_argument);
   EXPECT_THROW(parse({"--workload", ""}), std::invalid_argument);
+}
+
+// Throws std::invalid_argument, and the message names `flag`.
+template <typename Parse>
+void expect_rejected_naming(const std::string& flag, Parse parse_value) {
+  try {
+    parse_value();
+    FAIL() << flag << ": expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+  }
+}
+
+TEST(Cli, ListFlagsRejectTrailingJunkAndEmptyLists) {
+  for (const std::string bad : {"0.5,0.6x", "0.5,abc", "", ","}) {
+    expect_rejected_naming("--loads",
+                           [&] { return to_double_list("--loads", bad); });
+  }
+  for (const std::string bad : {"1,2x", "abc", "", ",", "-1"}) {
+    expect_rejected_naming("--seeds",
+                           [&] { return to_u64_list("--seeds", bad); });
+  }
+  expect_rejected_naming("--flows", [] { return to_u64("--flows", "20x"); });
+  expect_rejected_naming("--flows", [] { return to_u64("--flows", " 20"); });
+  expect_rejected_naming("--sample-interval-us",
+                         [] { return to_double("--sample-interval-us", ""); });
+  EXPECT_EQ(to_double_list("--loads", "0.1,0.5"),
+            (std::vector<double>{0.1, 0.5}));
+  EXPECT_EQ(to_u64_list("--buffers", "24000,,96000"),
+            (std::vector<std::uint64_t>{24'000, 96'000}));
+  EXPECT_EQ(split_list("--schemes", "tcn,codel"),
+            (std::vector<std::string>{"tcn", "codel"}));
 }
 
 TEST(Cli, UsageMentionsEveryFlag) {

@@ -7,7 +7,6 @@
 #include <memory>
 #include <set>
 
-#include "aqm/tcn.hpp"
 #include "net/fifo_scheduler.hpp"
 #include "net/host.hpp"
 #include "sched/dwrr.hpp"
@@ -196,53 +195,82 @@ TEST_F(PortTest, EnqueueTimestampGivesSojourn) {
   EXPECT_EQ(probe_raw->sojourns[1], 12 * sim::kMicrosecond); // waited 1 pkt
 }
 
-// The static-dispatch variants (net/dispatch.hpp) must be a pure call-
-// mechanism change: identical traffic through a devirtualized port and a
-// force_virtual_dispatch one must produce identical counters, deliveries
-// and marks. Uses a real scheduler/marker pair from the zoo so the visit
-// actually lands on concrete alternatives.
-TEST(PortDispatchTest, StaticAndVirtualDispatchAreEquivalent) {
-  struct Run {
-    Port::Counters counters;
-    std::size_t delivered = 0;
-    std::size_t ce_marked = 0;
-  };
-  const auto drive = [](bool force_virtual) {
-    sim::Simulator sim;
-    CaptureNode peer;
-    PortConfig cfg;
-    cfg.rate_bps = 1'000'000'000;
-    cfg.num_queues = 2;
-    cfg.buffer_bytes = 20'000;
-    cfg.force_virtual_dispatch = force_virtual;
-    Port port(sim, "p", cfg,
-              std::make_unique<sched::DwrrScheduler>(
-                  std::vector<std::uint64_t>{1500, 1500}),
-              std::make_unique<aqm::TcnMarker>(20 * sim::kMicrosecond));
-    port.connect(&peer, 0);
-    // Two queues, enough depth that TCN's sojourn threshold trips, plus a
-    // burst that overflows the shared buffer.
-    for (int i = 0; i < 40; ++i) {
-      port.enqueue(make_test_packet(1500, 0, 1 + (i % 2), Ecn::kEct0), i % 2);
-    }
-    sim.run();
-    Run r;
-    r.counters = port.counters();
-    r.delivered = peer.packets.size();
-    for (const auto& p : peer.packets) {
-      if (p->ce()) ++r.ce_marked;
-    }
-    return r;
-  };
-  const Run st = drive(false);
-  const Run vt = drive(true);
-  EXPECT_EQ(st.delivered, vt.delivered);
-  EXPECT_EQ(st.ce_marked, vt.ce_marked);
-  EXPECT_GT(st.ce_marked, 0u);  // the marker really ran on both paths
-  EXPECT_EQ(st.counters.enq_packets, vt.counters.enq_packets);
-  EXPECT_EQ(st.counters.tx_packets, vt.counters.tx_packets);
-  EXPECT_EQ(st.counters.drops, vt.counters.drops);
-  EXPECT_EQ(st.counters.marks, vt.counters.marks);
+/// Out-of-tree scheduler: serves the highest-index backlogged queue and
+/// rejects every third packet offered to it. Nothing in the tree knows this
+/// type, so the port can only reach it through the Scheduler interface.
+class ReverseRejectEveryThird final : public Scheduler {
+ public:
+  bool admit(std::size_t, const Packet&, sim::Time, std::uint64_t,
+             std::uint64_t) override {
+    return ++offered_ % 3 != 0;
+  }
+  void on_enqueue(std::size_t, const Packet&, sim::Time) override {
+    ++enqueued;
+  }
+  std::size_t select(sim::Time) override {
+    std::size_t q = queues().size() - 1;
+    while (queues()[q].empty()) --q;
+    return q;
+  }
+  void on_dequeue(std::size_t, const Packet&, sim::Time) override {
+    ++dequeued;
+  }
+  [[nodiscard]] std::string_view name() const override { return "reverse"; }
+
+  int enqueued = 0;
+  int dequeued = 0;
+
+ private:
+  int offered_ = 0;
+};
+
+/// Marker that never marks and records the flows it was consulted on.
+class CountingMarker final : public Marker {
+ public:
+  bool on_enqueue(const MarkContext&, const Packet& p) override {
+    enqueued.push_back(p.flow);
+    return false;
+  }
+  bool on_dequeue(const MarkContext&, const Packet& p) override {
+    dequeued.push_back(p.flow);
+    return false;
+  }
+  [[nodiscard]] std::string_view name() const override { return "counting"; }
+  std::vector<std::uint64_t> enqueued;
+  std::vector<std::uint64_t> dequeued;
+};
+
+TEST_F(PortTest, DrivesAnOutOfTreeSchedulerAndMarker) {
+  PortConfig cfg;
+  cfg.rate_bps = 1'000'000'000;
+  cfg.num_queues = 3;
+  auto sched = std::make_unique<ReverseRejectEveryThird>();
+  auto marker = std::make_unique<CountingMarker>();
+  auto* sched_raw = sched.get();
+  auto* marker_raw = marker.get();
+  Port port(sim_, "p", cfg, std::move(sched), std::move(marker));
+  port.connect(&peer_, 0);
+  // Flows 1..9 round-robin over queues 0,1,2; the scheduler rejects flows
+  // 3, 6 and 9 (every third offer), which are exactly the queue-2 packets.
+  for (std::uint64_t flow = 1; flow <= 9; ++flow) {
+    port.enqueue(make_test_packet(1500, 0, flow), (flow - 1) % 3);
+  }
+  sim_.run();
+
+  // Flow 1 starts service on arrival; the rest leave highest queue first.
+  std::vector<std::uint64_t> order;
+  for (const auto& p : peer_.packets) order.push_back(p->flow);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 5, 8, 4, 7}));
+  EXPECT_EQ(port.counters().sched_drops, 3u);
+  EXPECT_EQ(port.counters().sched_drop_bytes, 3u * 1500u);
+  EXPECT_EQ(port.counters().drops, 0u);
+  EXPECT_EQ(port.counters().enq_packets, 6u);
+  EXPECT_EQ(sched_raw->enqueued, 6);
+  EXPECT_EQ(sched_raw->dequeued, 6);
+  // The marker sees admitted packets only, in arrival and departure order.
+  EXPECT_EQ(marker_raw->enqueued,
+            (std::vector<std::uint64_t>{1, 2, 4, 5, 7, 8}));
+  EXPECT_EQ(marker_raw->dequeued, order);
 }
 
 TEST(PortConfigTest, InvalidConfigsThrow) {

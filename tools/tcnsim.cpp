@@ -23,36 +23,6 @@
 #include "runner/sweep.hpp"
 #include "traffic/spec.hpp"
 
-namespace {
-
-std::uint64_t to_u64(const std::string& flag, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const auto n = std::stoull(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return n;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(flag + ": expected an integer, got '" + v +
-                                "'");
-  }
-}
-
-std::vector<std::string> split_list(const std::string& list) {
-  std::vector<std::string> out;
-  std::string token;
-  for (std::size_t pos = 0; pos <= list.size(); ++pos) {
-    if (pos == list.size() || list[pos] == ',') {
-      if (!token.empty()) out.push_back(token);
-      token.clear();
-    } else {
-      token += list[pos];
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   for (const auto& a : args) {
@@ -84,19 +54,13 @@ int main(int argc, char** argv) {
         return args[++i];
       };
       if (flag == "--jobs") {
-        jobs = to_u64(flag, value());
+        jobs = tcn::core::to_u64(flag, value());
       } else if (flag == "--json") {
         json_path = value();
       } else if (flag == "--loads") {
-        for (const auto& t : split_list(value())) {
-          loads.push_back(std::strtod(t.c_str(), nullptr));
-        }
-        if (loads.empty()) throw std::invalid_argument("--loads: empty list");
+        loads = tcn::core::to_double_list(flag, value());
       } else if (flag == "--seeds") {
-        for (const auto& t : split_list(value())) {
-          seeds.push_back(to_u64(flag, t));
-        }
-        if (seeds.empty()) throw std::invalid_argument("--seeds: empty list");
+        seeds = tcn::core::to_u64_list(flag, value());
       } else if (flag == "--fault-grid") {
         fault_grid = tcn::fault::parse_fault_grid(value());
       } else if (flag == "--traffic-grid") {
@@ -105,7 +69,7 @@ int main(int argc, char** argv) {
         opt.failure_policy = tcn::runner::failure_policy_from_name(value());
         on_failure_set = true;
       } else if (flag == "--retries") {
-        opt.retry.max_attempts = to_u64(flag, value());
+        opt.retry.max_attempts = tcn::core::to_u64(flag, value());
         if (opt.retry.max_attempts == 0) {
           throw std::invalid_argument("--retries: must be >= 1");
         }
