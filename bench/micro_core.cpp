@@ -511,13 +511,12 @@ BenchResult bench_port_pipeline(std::string label, bool with_metrics,
 }
 
 /// The obs_off pipeline again, but against the time-series sampler instead
-/// of the metrics registry: `with_series` gives the port a sampler (so it
-/// resolves per-queue channels at construction) and re-arms the periodic
-/// sampler before every batch. The on/off ratio is the CI gate for the
-/// sampler's enabled cost -- the per-packet channel work plus the amortized
-/// 100us tick events must stay within 5% of the bare pipeline; disabled it
-/// is the same null-handle zero as the metrics path. Draws packets from the
-/// caller's PacketPool scope.
+/// of the metrics registry: `with_series` gives the port a sampler (so its
+/// probe registers per-queue channels at construction) and re-arms the
+/// periodic sampler before every batch. The on/off ratio is the CI gate for
+/// the sampler's enabled cost -- the 100us tick events that read the
+/// probe's cells must stay within 5% of the bare pipeline. Draws packets
+/// from the caller's PacketPool scope.
 class PortSeriesRig {
  public:
   explicit PortSeriesRig(bool with_series) {
@@ -894,8 +893,8 @@ int main(int argc, char** argv) {
     }
     std::printf("gate ok: event queue ratio %.2fx >= %.2fx\n", eq_median,
                 kEventQueueGate);
-    // Enabled-sampler acceptance: per-packet channel work plus the
-    // amortized tick events must cost <= 5% of the bare port pipeline. The
+    // Enabled-sampler acceptance: the amortized tick events must cost
+    // <= 5% of the bare port pipeline. The
     // pair shares one driver and differs only in the installed scope, so
     // the ratio isolates the sampler (same reasoning as the event gate).
     constexpr double kTimeSeriesOverheadGate = 0.05;

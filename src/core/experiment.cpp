@@ -13,7 +13,6 @@
 #include "obs/export.hpp"
 #include "pias/pias.hpp"
 #include "sim/simulator.hpp"
-#include "stats/tracer.hpp"
 #include "topo/network.hpp"
 #include "traffic/engine.hpp"
 #include "traffic/flow_slab.hpp"
@@ -140,12 +139,13 @@ FctReport run_fct_experiment(const FctExperiment& cfg) {
   fault::FaultInjector injector(sim, cfg.seed ^ 0xfa117a6c7ed5eedULL);
   if (!cfg.faults.empty()) injector.apply(network, cfg.faults);
 
-  // Observer stack over every port (switch egresses and host NICs). Order
-  // matters: the flight recorder runs FIRST so the event that trips the
-  // checker is already in the ring when the post-mortem formats it. The
-  // recorder also rides along whenever a budget is armed -- a budget kill
-  // is exactly the moment a postmortem pays for itself -- and observers
-  // never change simulation results, only what gets reported.
+  // Trace consumers of every port's probe (switch egresses and host NICs),
+  // called in list order. Order matters: the flight recorder runs FIRST so
+  // the event that trips the checker is already in the ring when the
+  // post-mortem formats it. The recorder also rides along whenever a budget
+  // is armed -- a budget kill is exactly the moment a postmortem pays for
+  // itself -- and observers never change simulation results, only what
+  // gets reported.
   // Open-loop runs always have (at least) the default pending-event guard
   // armed, so they get the same budget-kill postmortem treatment.
   const bool has_budget = cfg.wall_budget_ms > 0.0 || cfg.event_budget != 0 ||
@@ -166,22 +166,18 @@ FctReport run_fct_experiment(const FctExperiment& cfg) {
   if (trace_writer) observers.push_back(&*trace_writer);
   if (cfg.extra_observer != nullptr) observers.push_back(cfg.extra_observer);
 
-  stats::TeeObserver tee(observers);
-  net::PortObserver* observer = nullptr;
-  if (observers.size() == 1) observer = observers.front();
-  if (observers.size() > 1) observer = &tee;
-  if (observer != nullptr) {
+  if (!observers.empty()) {
     // Dense port indices: observers (the checker's ledgers) keep per-port
     // state in flat arrays instead of looking names up per event.
     std::uint32_t index = 0;
     for (std::size_t s = 0; s < network.num_switches(); ++s) {
       auto& sw = network.switch_at(s);
       for (std::size_t p = 0; p < sw.num_ports(); ++p) {
-        sw.port(p).set_observer(observer, index++);
+        sw.port(p).set_observers(observers, index++);
       }
     }
     for (std::size_t h = 0; h < network.num_hosts(); ++h) {
-      network.host(h).nic().set_observer(observer, index++);
+      network.host(h).nic().set_observers(observers, index++);
     }
   }
 
@@ -358,10 +354,11 @@ FctReport run_fct_experiment(const FctExperiment& cfg) {
   for (std::size_t s = 0; s < network.num_switches(); ++s) {
     auto& sw = network.switch_at(s);
     for (std::size_t p = 0; p < sw.num_ports(); ++p) {
-      report.switch_drops += sw.port(p).counters().drops;
-      report.switch_marks += sw.port(p).counters().marks;
-      report.fault_drops += sw.port(p).counters().fault_drops;
-      report.sched_drops += sw.port(p).counters().sched_drops;
+      const net::Port::Counters c = sw.port(p).counters();
+      report.switch_drops += c.drops;
+      report.switch_marks += c.marks;
+      report.fault_drops += c.fault_drops;
+      report.sched_drops += c.sched_drops;
     }
   }
   for (std::size_t h = 0; h < network.num_hosts(); ++h) {

@@ -7,21 +7,22 @@
 #include <utility>
 
 #include "net/host.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 
 namespace tcn::net {
 
 Port::Port(sim::Simulator& sim, std::string name, PortConfig cfg,
            std::unique_ptr<Scheduler> sched, std::unique_ptr<Marker> marker)
     : sim_(sim),
-      name_(std::move(name)),
+      probe_(std::move(name), cfg.num_queues),
       cfg_(cfg),
       effective_rate_bps_(static_cast<std::uint64_t>(
           static_cast<double>(cfg.rate_bps) * cfg.rate_limit_fraction)),
       sched_(std::move(sched)),
       marker_(std::move(marker)),
       queues_(cfg.num_queues),
-      buffer_limit_(cfg.buffer_bytes),
-      queue_drops_(cfg.num_queues, 0) {
+      buffer_limit_(cfg.buffer_bytes) {
   if (cfg.rate_bps == 0) {
     throw std::invalid_argument("Port: rate_bps must be > 0");
   }
@@ -43,45 +44,32 @@ Port::Port(sim::Simulator& sim, std::string name, PortConfig cfg,
         "Port: rate_bps * rate_limit_fraction rounds to zero");
   }
   sched_->bind(&queues_, effective_rate_bps_);
-  resolve_metrics();
-  resolve_timeseries();
+  // The probe's consumers: the run's metrics registry and sampler, when
+  // their scopes are installed.
+  if (obs::MetricsRegistry* reg = obs::MetricsRegistry::current()) {
+    reg->attach(probe_);
+  }
+  if (obs::TimeSeries* ts = obs::TimeSeries::current()) {
+    ts->attach(probe_, cfg_.buffer_bytes);
+  }
 }
 
-void Port::resolve_metrics() {
-  obs::MetricsRegistry* reg = obs::MetricsRegistry::current();
-  if (reg == nullptr) return;
-  metrics_.enabled = true;
-  const std::string base = "port." + name_ + ".";
-  for (std::size_t q = 0; q < queues_.size(); ++q) {
-    const std::string qbase = base + "q" + std::to_string(q) + ".";
-    metrics_.q_enq.push_back(&reg->counter(qbase + "enq_packets"));
-    metrics_.q_deq.push_back(&reg->counter(qbase + "deq_packets"));
-    metrics_.q_drop.push_back(&reg->counter(qbase + "drop_packets"));
-    metrics_.q_sojourn.push_back(&reg->histogram(qbase + "sojourn_ns"));
+Port::Counters Port::counters() const noexcept {
+  Counters c;
+  for (const obs::QueueCells& q : probe_.cells) {
+    c.enq_packets += q.enq_packets;
+    c.enq_bytes += q.enq_bytes;
+    c.tx_packets += q.tx_packets;
+    c.tx_bytes += q.tx_bytes;
+    c.drops += q.drops;
+    c.marks += q.marks_enqueue + q.marks_dequeue;
   }
-  metrics_.drops_buffer = &reg->counter(base + "drops.buffer");
-  metrics_.drops_fault = &reg->counter(base + "drops.fault");
-  metrics_.drops_sched = &reg->counter(base + "drops.sched");
-  metrics_.marks_enqueue = &reg->counter(base + "marks.enqueue");
-  metrics_.marks_dequeue = &reg->counter(base + "marks.dequeue");
-  metrics_.mark_sojourn = &reg->histogram(base + "mark_sojourn_ns");
-  metrics_.interdeq_gap = &reg->histogram(base + "interdeq_gap_ns");
-}
-
-void Port::resolve_timeseries() {
-  obs::TimeSeries* ts = obs::TimeSeries::current();
-  if (ts == nullptr) return;
-  series_enabled_ = true;
-  series_.reserve(queues_.size());
-  for (std::size_t q = 0; q < queues_.size(); ++q) {
-    // The depth probe runs only at tick time; capturing [this, q] keeps the
-    // hot path free of any per-packet probe cost.
-    series_.push_back(ts->add_channel(
-        name_ + ".q" + std::to_string(q), cfg_.buffer_bytes,
-        [this, q]() -> std::pair<std::uint64_t, std::uint64_t> {
-          return {queues_[q].bytes(), queues_[q].size()};
-        }));
-  }
+  c.drop_bytes = probe_.drop_bytes;
+  c.fault_drops = probe_.fault_drops;
+  c.fault_drop_bytes = probe_.fault_drop_bytes;
+  c.sched_drops = probe_.sched_drops;
+  c.sched_drop_bytes = probe_.sched_drop_bytes;
+  return c;
 }
 
 void Port::emit(TraceEvent event, const Packet& p, std::size_t queue,
@@ -89,8 +77,8 @@ void Port::emit(TraceEvent event, const Packet& p, std::size_t queue,
   TraceRecord rec;
   rec.t = sim_.now();
   rec.event = event;
-  rec.port = name_;
-  rec.port_index = trace_index_;
+  rec.port = probe_.name;
+  rec.port_index = probe_.trace_index;
   rec.queue = queue;
   rec.flow = p.flow;
   rec.seq = p.seq;
@@ -99,7 +87,7 @@ void Port::emit(TraceEvent event, const Packet& p, std::size_t queue,
   rec.queue_bytes = queues_[queue].bytes();
   rec.port_bytes = total_bytes_;
   rec.sojourn = sojourn;
-  observer_->on_event(rec);
+  for (PortObserver* o : probe_.observers) o->on_event(rec);
 }
 
 void Port::connect(Node* peer, std::size_t peer_ingress) {
@@ -110,10 +98,9 @@ void Port::connect(Node* peer, std::size_t peer_ingress) {
 }
 
 void Port::fault_drop(const Packet& p, std::size_t queue) {
-  ++counters_.fault_drops;
-  counters_.fault_drop_bytes += p.size;
-  if (metrics_.enabled) metrics_.drops_fault->inc();
-  if (observer_ != nullptr) emit(TraceEvent::kFaultDrop, p, queue);
+  ++probe_.fault_drops;
+  probe_.fault_drop_bytes += p.size;
+  trace(TraceEvent::kFaultDrop, p, queue);
 }
 
 namespace {
@@ -159,7 +146,7 @@ bool Port::link_up_at(sim::Time t) const {
 
 void Port::enqueue(PacketPtr p, std::size_t queue) {
   if (queue >= queues_.size()) {
-    throw std::invalid_argument("Port::enqueue(" + name_ + "): queue index " +
+    throw std::invalid_argument("Port::enqueue(" + name() + "): queue index " +
                                 std::to_string(queue) + " out of range [0, " +
                                 std::to_string(queues_.size()) + ")");
   }
@@ -168,35 +155,28 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
     fault_drop(*p, queue);
     return;
   }
+  obs::QueueCells& c = probe_.cells[queue];
   // Shared-buffer admission: tail drop on the port total.
   if (total_bytes_ + p->size > buffer_limit_) {
-    ++counters_.drops;
-    counters_.drop_bytes += p->size;
-    ++queue_drops_[queue];
-    if (metrics_.enabled) {
-      metrics_.drops_buffer->inc();
-      metrics_.q_drop[queue]->inc();
-    }
-    if (observer_ != nullptr) emit(TraceEvent::kDrop, *p, queue);
+    ++c.drops;
+    probe_.drop_bytes += p->size;
+    trace(TraceEvent::kDrop, *p, queue);
     return;  // packet destroyed
   }
   // Scheduler admission control (e.g. AIFO): a rejection here is a
   // *scheduling* decision, accounted apart from buffer and fault drops, and
   // invisible to the marker (the packet never enters a queue).
   if (!sched_->admit(queue, *p, sim_.now(), total_bytes_, buffer_limit_)) {
-    ++counters_.sched_drops;
-    counters_.sched_drop_bytes += p->size;
-    if (metrics_.enabled) metrics_.drops_sched->inc();
-    if (observer_ != nullptr) emit(TraceEvent::kSchedDrop, *p, queue);
+    ++probe_.sched_drops;
+    probe_.sched_drop_bytes += p->size;
+    trace(TraceEvent::kSchedDrop, *p, queue);
     return;  // packet destroyed
   }
   p->enqueue_ts = sim_.now();
-  // The queue's time-series channel sleeps until its first packet.
-  if (series_enabled_) series_[queue]->on_enqueue();
+  if (c.enq_packets == 0) probe_.wake(queue);
   total_bytes_ += p->size;
-  ++counters_.enq_packets;
-  counters_.enq_bytes += p->size;
-  if (metrics_.enabled) metrics_.q_enq[queue]->inc();
+  ++c.enq_packets;
+  c.enq_bytes += p->size;
 
   Packet& ref = *p;
   queues_[queue].push(std::move(p));
@@ -209,15 +189,12 @@ void Port::enqueue(PacketPtr p, std::size_t queue) {
                         .link_rate_bps = effective_rate_bps_};
   if (marker_->on_enqueue(ctx, ref) && ref.ect()) {
     ref.ecn = Ecn::kCe;
-    ++counters_.marks;
-    if (metrics_.enabled) {
-      metrics_.marks_enqueue->inc();
-      metrics_.mark_sojourn->record(0);  // marked on arrival: no queueing yet
-    }
-    if (series_enabled_) series_[queue]->on_mark();
-    if (observer_ != nullptr) emit(TraceEvent::kMark, ref, queue);
+    ++c.marks_enqueue;
+    // Marked on arrival: no queueing yet.
+    if (probe_.histograms) probe_.histograms->mark_sojourn.record(0);
+    trace(TraceEvent::kMark, ref, queue);
   }
-  if (observer_ != nullptr) emit(TraceEvent::kEnqueue, ref, queue);
+  trace(TraceEvent::kEnqueue, ref, queue);
 
   try_transmit();
 }
@@ -238,29 +215,20 @@ void Port::try_transmit() {
                         .port_bytes = total_bytes_,
                         .link_rate_bps = effective_rate_bps_};
   const sim::Time sojourn = sim_.now() - p->enqueue_ts;
+  obs::QueueCells& c = probe_.cells[q];
+  obs::PortHistograms* h = probe_.histograms.get();
   if (marker_->on_dequeue(ctx, *p) && p->ect()) {
     p->ecn = Ecn::kCe;
-    ++counters_.marks;
-    if (metrics_.enabled) {
-      metrics_.marks_dequeue->inc();
-      metrics_.mark_sojourn->record(sojourn);
-    }
-    if (series_enabled_) series_[q]->on_mark();
-    if (observer_ != nullptr) emit(TraceEvent::kMark, *p, q, sojourn);
+    ++c.marks_dequeue;
+    if (h != nullptr) h->mark_sojourn.record(sojourn);
+    trace(TraceEvent::kMark, *p, q, sojourn);
   }
-  if (metrics_.enabled) {
-    metrics_.q_deq[q]->inc();
-    metrics_.q_sojourn[q]->record(sojourn);
-    if (last_dequeue_ >= 0) {
-      metrics_.interdeq_gap->record(sim_.now() - last_dequeue_);
-    }
-    last_dequeue_ = sim_.now();
-  }
-  if (series_enabled_) series_[q]->on_dequeue(sojourn, p->size);
-  if (observer_ != nullptr) emit(TraceEvent::kDequeue, *p, q, sojourn);
+  if (h != nullptr) h->on_dequeue(q, sojourn, sim_.now());
+  trace(TraceEvent::kDequeue, *p, q, sojourn);
 
-  ++counters_.tx_packets;
-  counters_.tx_bytes += p->size;
+  ++c.tx_packets;
+  c.tx_bytes += p->size;
+  c.sojourn_ns += static_cast<std::uint64_t>(sojourn);
 
   const sim::Time tx = sim::transmission_time(p->size, effective_rate_bps_);
   busy_ = true;

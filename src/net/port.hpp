@@ -10,6 +10,9 @@
 // The port optionally shapes its drain rate below line rate (the prototype's
 // token-bucket rate limiter runs at 99.5% of NIC capacity so queueing stays
 // visible to the AQM).
+//
+// Everything the port observes -- per-queue counts, latency histograms,
+// trace events -- goes through its one obs::PortProbe (obs/port_probe.hpp).
 #pragma once
 
 #include <cstdint>
@@ -24,8 +27,7 @@
 #include "net/queue.hpp"
 #include "net/scheduler.hpp"
 #include "net/trace.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
+#include "obs/port_probe.hpp"
 #include "sim/simulator.hpp"
 
 namespace tcn::net {
@@ -93,6 +95,7 @@ class Port {
     return buffer_limit_;
   }
 
+  /// Port totals, summed from the probe's cells.
   struct Counters {
     std::uint64_t enq_packets = 0;
     std::uint64_t enq_bytes = 0;
@@ -101,22 +104,12 @@ class Port {
     std::uint64_t drops = 0;  ///< shared-buffer tail drops
     std::uint64_t drop_bytes = 0;
     std::uint64_t marks = 0;
-    /// Packets blackholed by injected faults (downed link, random loss) --
-    /// reported separately from buffer drops.
-    std::uint64_t fault_drops = 0;
+    std::uint64_t fault_drops = 0;  ///< see obs::PortProbe
     std::uint64_t fault_drop_bytes = 0;
-    /// Packets rejected by the scheduler's admission control (e.g. AIFO's
-    /// rank-quantile gate) -- a scheduling decision, not buffer pressure or
-    /// AQM behaviour, so accounted separately from both.
     std::uint64_t sched_drops = 0;
     std::uint64_t sched_drop_bytes = 0;
   };
-
-  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
-  /// Drops attributed to the queue the packet was classified into.
-  [[nodiscard]] std::uint64_t queue_drops(std::size_t q) const {
-    return queue_drops_.at(q);
-  }
+  [[nodiscard]] Counters counters() const noexcept;
   [[nodiscard]] std::uint64_t queue_bytes(std::size_t q) const {
     return queues_[q].bytes();
   }
@@ -133,56 +126,47 @@ class Port {
     return effective_rate_bps_;
   }
   [[nodiscard]] const PortConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  [[nodiscard]] const std::string& name() const noexcept {
+    return probe_.name;
+  }
   [[nodiscard]] Scheduler& scheduler() noexcept { return *sched_; }
   [[nodiscard]] Marker& marker() noexcept { return *marker_; }
   /// Far end of the link (nullptr until connect()).
   [[nodiscard]] Node* peer() const noexcept { return peer_; }
 
-  /// Attach (or detach with nullptr) a trace observer; it must outlive the
-  /// port or be detached first. `index` is the port's dense index among the
-  /// ports sharing the observer, carried by every TraceRecord so observers
-  /// keep per-port state in flat arrays.
-  void set_observer(PortObserver* obs, std::uint32_t index = 0) noexcept {
-    observer_ = obs;
-    trace_index_ = index;
+  [[nodiscard]] const obs::PortProbe& probe() const noexcept {
+    return probe_;
+  }
+
+  /// Attach trace observers, called in list order on every event
+  /// (replacing any attached before; an empty list detaches). They must
+  /// outlive the port or be detached first. `index` is the port's dense
+  /// index among the ports sharing the observers, carried by every
+  /// TraceRecord so observers keep per-port state in flat arrays.
+  void set_observers(std::vector<PortObserver*> observers,
+                     std::uint32_t index = 0) {
+    probe_.observers = std::move(observers);
+    probe_.trace_index = index;
   }
 
  private:
-  /// Handles into the run's MetricsRegistry, resolved once at construction
-  /// from MetricsRegistry::current(). When no registry scope is installed
-  /// every pointer stays null and `enabled` is false, so each publish site
-  /// in the hot path costs exactly one predictable branch (the same
-  /// discipline as the PortObserver null check).
-  struct Metrics {
-    bool enabled = false;
-    std::vector<obs::Counter*> q_enq;
-    std::vector<obs::Counter*> q_deq;
-    std::vector<obs::Counter*> q_drop;
-    std::vector<obs::LogHistogram*> q_sojourn;
-    obs::Counter* drops_buffer = nullptr;
-    obs::Counter* drops_fault = nullptr;
-    obs::Counter* drops_sched = nullptr;
-    obs::Counter* marks_enqueue = nullptr;
-    obs::Counter* marks_dequeue = nullptr;
-    obs::LogHistogram* mark_sojourn = nullptr;
-    obs::LogHistogram* interdeq_gap = nullptr;
-  };
-
   void try_transmit();
   /// Put a serialized packet on the wire towards the peer.
   void propagate(PacketPtr p, std::size_t queue);
   /// Link state at time `t` by the transition log; exact for any t up to
   /// now and, for scheduled transitions, beyond.
   [[nodiscard]] bool link_up_at(sim::Time t) const;
+  /// Hand a port event to the probe's trace observers, if any.
+  void trace(TraceEvent event, const Packet& p, std::size_t queue,
+             sim::Time sojourn = 0) {
+    if (!probe_.observers.empty()) emit(event, p, queue, sojourn);
+  }
   void emit(TraceEvent event, const Packet& p, std::size_t queue,
-            sim::Time sojourn = 0);
+            sim::Time sojourn);
   void fault_drop(const Packet& p, std::size_t queue);
-  void resolve_metrics();
-  void resolve_timeseries();
 
   sim::Simulator& sim_;
-  std::string name_;
+  obs::PortProbe probe_;
   PortConfig cfg_;
   std::uint64_t effective_rate_bps_;
   std::unique_ptr<Scheduler> sched_;
@@ -201,17 +185,6 @@ class Port {
   std::size_t peer_ingress_ = 0;
   /// The peer when it is a Host with a stack delay (deliveries fold).
   Host* fold_host_ = nullptr;
-  Counters counters_;
-  std::vector<std::uint64_t> queue_drops_;
-  PortObserver* observer_ = nullptr;
-  std::uint32_t trace_index_ = 0;
-  Metrics metrics_;
-  /// Per-queue time-series channels, resolved once at construction from
-  /// obs::TimeSeries::current() -- same null-handle discipline as Metrics.
-  /// Empty (and series_enabled_ false) when no sampler scope is installed.
-  std::vector<obs::TimeSeries::Channel*> series_;
-  bool series_enabled_ = false;
-  sim::Time last_dequeue_ = -1;  // -1: no dequeue yet (gap undefined)
 };
 
 }  // namespace tcn::net

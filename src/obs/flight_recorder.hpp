@@ -1,7 +1,7 @@
 // Flight recorder: a fixed-size ring buffer of the most recent TraceRecords
-// on a port (or set of ports). It is a plain PortObserver -- hang it off a
-// stats::TeeObserver next to the InvariantChecker -- and costs one copy per
-// event with zero allocation after construction.
+// on a port (or set of ports). It is a plain PortObserver -- attach it to
+// each port ahead of the InvariantChecker (Port::set_observers) -- and costs
+// one copy per event with zero allocation after construction.
 //
 // Its purpose is post-mortems: when the invariant checker or the fault layer
 // trips, format_tail() turns the last N events into a readable dump that is

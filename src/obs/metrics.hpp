@@ -7,6 +7,9 @@
 //     construction time, from the thread-local MetricsRegistry::Scope; when
 //     no scope is installed the handles stay null and every publish site is
 //     a single predictable branch on a null pointer
+//   - ports register nothing by name: each hands the registry its
+//     obs::PortProbe, and snapshot() names the probe's cells and histograms
+//     ("port.<name>....") as it copies them out, already in sorted order
 //   - per-run isolation: one registry per simulation run, installed
 //     thread-locally exactly like net::PacketPool::Scope, so concurrent
 //     sweep jobs never contend or mix their metrics
@@ -30,6 +33,8 @@
 #include <vector>
 
 namespace tcn::obs {
+
+struct PortProbe;
 
 /// Monotone event count.
 class Counter {
@@ -216,10 +221,10 @@ struct MetricsSnapshot {
   }
 };
 
-/// Name -> instrument map for one simulation run. Instruments are owned by
-/// the registry (map nodes give stable addresses) and live until the
-/// registry dies, so handles resolved at construction time stay valid for
-/// the whole run.
+/// Name -> instrument map for one simulation run, plus the probes of the
+/// ports built under it. Instruments are owned by the registry (map nodes
+/// give stable addresses) and live until the registry dies, so handles
+/// resolved at construction time stay valid for the whole run.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -232,28 +237,17 @@ class MetricsRegistry {
     return find(histograms_, name);
   }
 
+  /// Named instruments (port probes not included).
   [[nodiscard]] std::size_t size() const noexcept {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
-  [[nodiscard]] MetricsSnapshot snapshot() const {
-    MetricsSnapshot s;
-    s.counters.reserve(counters_.size());
-    for (const auto& [name, c] : counters_) {
-      s.counters.push_back({name, c.value()});
-    }
-    s.gauges.reserve(gauges_.size());
-    for (const auto& [name, g] : gauges_) {
-      s.gauges.push_back({name, g.last(), g.min(), g.max(), g.sets()});
-    }
-    s.histograms.reserve(histograms_.size());
-    for (const auto& [name, h] : histograms_) {
-      s.histograms.push_back({name, h.count(), h.sum(), h.min(), h.max(),
-                              h.percentile(50.0), h.percentile(99.0),
-                              h.buckets()});
-    }
-    return s;
-  }
+  /// Publish a port's probe: its cells and histograms appear in every
+  /// snapshot under "port.<name>.". The probe must outlive the snapshots.
+  void attach(PortProbe& probe);
+
+  /// Every instrument and port probe, name-sorted within each section.
+  [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// RAII scope installing this registry as the thread's publishing target,
   /// nesting exactly like net::PacketPool::Scope (inner shadows, destructor
@@ -294,6 +288,7 @@ class MetricsRegistry {
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, LogHistogram, std::less<>> histograms_;
+  std::vector<const PortProbe*> ports_;
 };
 
 }  // namespace tcn::obs

@@ -133,17 +133,22 @@ StabilityResult StabilityAnalyzer::result(
   return r;
 }
 
+std::string TimeSeries::Channel::name() const {
+  return probe_->name + ".q" + std::to_string(queue_);
+}
+
 StabilityAnalyzer TimeSeries::Channel::analyzer() const noexcept {
-  StabilityAnalyzer a = analyzer_;
-  if (!active_) a.observe_zeros(idle_ticks());
+  if (samples_) return samples_->analyzer;
+  StabilityAnalyzer a;
+  a.observe_zeros(idle_ticks());
   return a;
 }
 
 std::vector<SeriesPoint> TimeSeries::Channel::points() const {
   std::vector<SeriesPoint> out;
-  if (!active_) {
+  if (!samples_) {
     const auto n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(idle_ticks(), max_samples_));
+        std::min<std::uint64_t>(idle_ticks(), owner_->cfg_.max_samples));
     out.reserve(n);
     owner_->for_last_ticks(n, [&](sim::Time t) {
       SeriesPoint pt;
@@ -152,58 +157,74 @@ std::vector<SeriesPoint> TimeSeries::Channel::points() const {
     });
     return out;
   }
-  if (!wrapped_) {
-    out.assign(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(next_));
+  const std::vector<SeriesPoint>& ring = samples_->ring;
+  const auto next = static_cast<std::ptrdiff_t>(samples_->next);
+  if (!samples_->wrapped) {
+    out.assign(ring.begin(), ring.begin() + next);
   } else {
-    out.reserve(ring_.size());
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(next_));
+    out.reserve(ring.size());
+    out.insert(out.end(), ring.begin() + next, ring.end());
+    out.insert(out.end(), ring.begin(), ring.begin() + next);
   }
   return out;
 }
 
 void TimeSeries::Channel::sample(sim::Time now) {
+  const QueueCells& c = probe_->cells[queue_];
+  QueueCells& last = samples_->last;
   SeriesPoint pt;
   pt.t = now;
-  const auto [bytes, packets] = probe_();
-  pt.depth_bytes = bytes;
-  pt.depth_packets = packets;
-  pt.deq_packets = acc_deq_;
-  pt.sojourn_sum_ns = acc_sojourn_;
-  pt.marks = acc_marks_;
-  pt.tx_bytes = acc_tx_bytes_;
-  acc_deq_ = acc_sojourn_ = acc_marks_ = acc_tx_bytes_ = 0;
+  pt.depth_bytes = c.enq_bytes - c.tx_bytes;  // admitted, not yet dequeued
+  pt.depth_packets = c.enq_packets - c.tx_packets;
+  pt.deq_packets = c.tx_packets - last.tx_packets;
+  pt.sojourn_sum_ns = c.sojourn_ns - last.sojourn_ns;
+  pt.marks = c.marks_enqueue + c.marks_dequeue - last.marks_enqueue -
+             last.marks_dequeue;
+  pt.tx_bytes = c.tx_bytes - last.tx_bytes;
+  last = c;
 
-  analyzer_.observe(pt);
+  samples_->analyzer.observe(pt);
   record(pt);
 }
 
 void TimeSeries::Channel::record(const SeriesPoint& pt) {
-  if (max_samples_ == 0) return;
-  if (ring_.size() < max_samples_) {
-    ring_.push_back(pt);
-    next_ = ring_.size() % max_samples_;
-    wrapped_ = next_ == 0 && ring_.size() == max_samples_;
+  const std::size_t max_samples = owner_->cfg_.max_samples;
+  if (max_samples == 0) return;
+  Samples& s = *samples_;
+  if (s.ring.size() < max_samples) {
+    s.ring.push_back(pt);
+    s.next = s.ring.size() % max_samples;
+    s.wrapped = s.next == 0 && s.ring.size() == max_samples;
   } else {
-    ring_[next_] = pt;
-    next_ = (next_ + 1) % max_samples_;
-    wrapped_ = true;
+    s.ring[s.next] = pt;
+    s.next = (s.next + 1) % max_samples;
+    s.wrapped = true;
   }
 }
 
-TimeSeries::Channel* TimeSeries::add_channel(std::string name,
-                                             std::uint64_t cap_bytes,
-                                             DepthProbe probe) {
-  channels_.push_back(std::make_unique<Channel>(*this, std::move(name),
-                                                cap_bytes, std::move(probe)));
-  return channels_.back().get();
+void PortProbe::wake(std::size_t q) {
+  if (series != nullptr) series->activate(first_channel + q);
 }
 
-void TimeSeries::activate(Channel& ch) {
+void TimeSeries::attach(PortProbe& probe, std::uint64_t cap_bytes) {
+  probe.series = this;
+  probe.first_channel = channels_.size();
+  // Grow geometrically, but by the whole port at once: one allocation per
+  // port at most, whatever its queue count.
+  const std::size_t need = channels_.size() + probe.cells.size();
+  if (need > channels_.capacity()) {
+    channels_.reserve(std::max(need, 2 * channels_.capacity()));
+  }
+  for (std::size_t q = 0; q < probe.cells.size(); ++q) {
+    channels_.emplace_back(*this, probe, q, cap_bytes);
+  }
+}
+
+void TimeSeries::activate(std::size_t channel) {
+  Channel& ch = channels_[channel];
   const std::uint64_t idle = ch.idle_ticks();
-  ch.analyzer_.observe_zeros(idle);
+  ch.samples_ = std::make_unique<Channel::Samples>();
+  ch.samples_->analyzer.observe_zeros(idle);
   for_last_ticks(
       static_cast<std::size_t>(std::min<std::uint64_t>(idle, cfg_.max_samples)),
       [&](sim::Time t) {
@@ -211,8 +232,7 @@ void TimeSeries::activate(Channel& ch) {
         pt.t = t;
         ch.record(pt);
       });
-  ch.active_ = true;
-  active_.push_back(&ch);
+  active_.push_back(channel);
 }
 
 void TimeSeries::start(sim::Simulator& sim) {
@@ -232,7 +252,7 @@ void TimeSeries::tick(sim::Simulator& sim) {
       if (++recent_next_ == recent_ticks_.size()) recent_next_ = 0;
     }
   }
-  for (Channel* ch : active_) ch->sample(now);
+  for (const std::size_t ch : active_) channels_[ch].sample(now);
   // The tick's own pop already happened: an empty queue here means the run
   // is over bar the sampler, and rescheduling would keep run(kTimeMax)
   // spinning forever. Stop; start() may re-arm.
@@ -244,23 +264,29 @@ void TimeSeries::tick(sim::Simulator& sim) {
 }
 
 std::vector<const TimeSeries::Channel*> TimeSeries::sorted_channels() const {
+  std::vector<std::pair<std::string, const Channel*>> named;
+  named.reserve(channels_.size());
+  for (const Channel& ch : channels_) named.emplace_back(ch.name(), &ch);
+  std::sort(named.begin(), named.end());
   std::vector<const Channel*> out;
-  out.reserve(channels_.size());
-  for (const std::unique_ptr<Channel>& ch : channels_) out.push_back(ch.get());
-  std::sort(out.begin(), out.end(), [](const Channel* a, const Channel* b) {
-    return a->name() < b->name();
-  });
+  out.reserve(named.size());
+  for (const auto& [name, ch] : named) out.push_back(ch);
   return out;
 }
 
 const TimeSeries::Channel* TimeSeries::dominant_channel() const {
   const Channel* best = nullptr;
-  for (const std::unique_ptr<Channel>& ch : channels_) {
-    if (best == nullptr ||
-        ch->analyzer().total_tx_bytes() > best->analyzer().total_tx_bytes() ||
-        (ch->analyzer().total_tx_bytes() == best->analyzer().total_tx_bytes() &&
-         ch->name() < best->name())) {
-      best = ch.get();
+  std::uint64_t best_tx = 0;
+  std::string best_name;
+  for (const Channel& ch : channels_) {
+    const std::uint64_t tx =
+        ch.samples_ ? ch.samples_->analyzer.total_tx_bytes() : 0;
+    if (best != nullptr && tx < best_tx) continue;
+    std::string name = ch.name();
+    if (best == nullptr || tx > best_tx || name < best_name) {
+      best = &ch;
+      best_tx = tx;
+      best_name = std::move(name);
     }
   }
   return best;

@@ -6,11 +6,10 @@
 // histogram. obs::TimeSeries adds the missing layer:
 //
 //   - a fixed-interval sampler driven by ONE periodic self-rescheduling
-//     simulator event, off by default and zero-cost when disabled: ports
-//     resolve a Channel* per queue ONCE at construction from the
-//     thread-local TimeSeries::Scope (the exact null-handle discipline of
-//     MetricsRegistry / PortObserver), so each hot-path publish site costs
-//     a single predictable branch when sampling is off
+//     simulator event, off by default: a port built under the thread-local
+//     TimeSeries::Scope attaches its obs::PortProbe, and each tick reads
+//     the probe's cumulative per-queue cells and records their change since
+//     the last tick -- the port's hot path does nothing for the sampler
 //   - per-channel bounded ring buffers of SeriesPoint (O(max_samples)
 //     memory regardless of run length) for --series-out deep dives
 //   - idle channels: a queue's channel sleeps until the queue's first
@@ -44,13 +43,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
+#include "obs/port_probe.hpp"
 #include "sim/simulator.hpp"
 
 namespace tcn::obs {
@@ -163,40 +161,25 @@ class StabilityAnalyzer {
 };
 
 /// The per-run sampler. Install via TimeSeries::Scope BEFORE building the
-/// topology (like MetricsRegistry::Scope); ports then register one channel
-/// per queue. start() arms the periodic tick.
+/// topology (like MetricsRegistry::Scope); ports then attach their probes,
+/// one channel per queue. start() arms the periodic tick.
 class TimeSeries {
  public:
-  /// Instantaneous (depth_bytes, depth_packets) probe, invoked only at
-  /// tick time -- publishers stay decoupled from net/ headers.
-  using DepthProbe = std::function<std::pair<std::uint64_t, std::uint64_t>()>;
-
-  /// One sampled (port, queue) stream. Publishers call the on_* hooks from
-  /// their hot paths behind a single null-check branch; the tick drains the
-  /// interval accumulators into a SeriesPoint.
+  /// One sampled (port, queue) stream: the tick-to-tick change of the
+  /// queue's probe cells, plus its depth at the tick.
   class Channel {
    public:
-    Channel(TimeSeries& owner, std::string name, std::uint64_t cap_bytes,
-            DepthProbe probe)
+    /// Built by TimeSeries::attach.
+    Channel(const TimeSeries& owner, const PortProbe& probe,
+            std::size_t queue, std::uint64_t cap_bytes)
         : owner_(&owner),
-          name_(std::move(name)),
+          probe_(&probe),
+          queue_(queue),
           cap_bytes_(cap_bytes),
-          probe_(std::move(probe)),
-          max_samples_(owner.cfg_.max_samples),
           born_tick_(owner.ticks_) {}
 
-    /// A packet entered the queue: wakes the channel on the first one.
-    void on_enqueue() {
-      if (!active_) owner_->activate(*this);
-    }
-    void on_dequeue(sim::Time sojourn, std::uint64_t bytes) noexcept {
-      ++acc_deq_;
-      acc_sojourn_ += static_cast<std::uint64_t>(sojourn < 0 ? 0 : sojourn);
-      acc_tx_bytes_ += bytes;
-    }
-    void on_mark() noexcept { ++acc_marks_; }
-
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
+    /// "<port>.q<queue>".
+    [[nodiscard]] std::string name() const;
     [[nodiscard]] std::uint64_t cap_bytes() const noexcept {
       return cap_bytes_;
     }
@@ -210,42 +193,41 @@ class TimeSeries {
    private:
     friend class TimeSeries;
 
+    /// What a channel keeps once its queue has woken.
+    struct Samples {
+      QueueCells last;  ///< the queue's cells at the previous tick
+      // Bounded ring: ring[next] is the oldest once wrapped.
+      std::vector<SeriesPoint> ring;
+      std::size_t next = 0;
+      bool wrapped = false;
+      StabilityAnalyzer analyzer;
+    };
+
     void sample(sim::Time now);
     void record(const SeriesPoint& pt);
     /// Ticks this channel has slept through (0 once active).
     [[nodiscard]] std::uint64_t idle_ticks() const noexcept {
-      return active_ ? 0 : owner_->ticks_ - born_tick_;
+      return samples_ ? 0 : owner_->ticks_ - born_tick_;
     }
 
-    TimeSeries* owner_;
-    std::string name_;
+    const TimeSeries* owner_;
+    const PortProbe* probe_;
+    std::size_t queue_;
     std::uint64_t cap_bytes_;
-    DepthProbe probe_;
-    std::size_t max_samples_;
     std::uint64_t born_tick_;  ///< owner's tick count at registration
-    bool active_ = false;
-    // Interval accumulators, drained every tick.
-    std::uint64_t acc_deq_ = 0;
-    std::uint64_t acc_sojourn_ = 0;
-    std::uint64_t acc_marks_ = 0;
-    std::uint64_t acc_tx_bytes_ = 0;
-    // Bounded ring: ring_[next_] is the oldest once wrapped_.
-    std::vector<SeriesPoint> ring_;
-    std::size_t next_ = 0;
-    bool wrapped_ = false;
-    StabilityAnalyzer analyzer_;
+    std::unique_ptr<Samples> samples_;  ///< null while the channel sleeps
   };
 
   explicit TimeSeries(TimeSeriesConfig cfg) : cfg_(cfg) {}
   TimeSeries(const TimeSeries&) = delete;
   TimeSeries& operator=(const TimeSeries&) = delete;
 
-  /// Register a channel (stable address for the publisher's lifetime).
-  /// The channel sleeps -- ticks skip it -- until the publisher's first
-  /// on_enqueue(); until then its depth must be zero and it must see no
-  /// on_dequeue()/on_mark().
-  Channel* add_channel(std::string name, std::uint64_t cap_bytes,
-                       DepthProbe probe);
+  /// Register one channel per queue of `probe` (`cap_bytes` is the port's
+  /// buffer, for the saturation test); the probe must outlive the sampler's
+  /// ticks and reads. A channel sleeps -- ticks skip it -- until
+  /// PortProbe::wake() reports its queue's first packet; until then the
+  /// queue must admit nothing.
+  void attach(PortProbe& probe, std::uint64_t cap_bytes);
 
   /// Arm the periodic tick: first sample at now + interval. Call after the
   /// workload is scheduled. Safe to call again after the sampler stopped
@@ -258,6 +240,11 @@ class TimeSeries {
   [[nodiscard]] std::uint64_t ticks() const noexcept { return ticks_; }
   [[nodiscard]] std::size_t num_channels() const noexcept {
     return channels_.size();
+  }
+  /// Channels in registration order (addresses are stable once every port
+  /// is built).
+  [[nodiscard]] const Channel& channel(std::size_t i) const {
+    return channels_[i];
   }
   /// Channels sorted by name -- the serialization order.
   [[nodiscard]] std::vector<const Channel*> sorted_channels() const;
@@ -285,10 +272,12 @@ class TimeSeries {
   [[nodiscard]] static TimeSeries* current() noexcept { return tls_slot(); }
 
  private:
+  friend struct PortProbe;
+
   void tick(sim::Simulator& sim);
   /// Wake an idle channel: fill the all-zero run it slept through, then
   /// tick it from now on.
-  void activate(Channel& ch);
+  void activate(std::size_t channel);
   /// Calls f(t) for the last n tick times, oldest first (n <= the retained
   /// min(ticks, max_samples)).
   template <class F>
@@ -305,9 +294,9 @@ class TimeSeries {
   }
 
   TimeSeriesConfig cfg_;
-  std::vector<std::unique_ptr<Channel>> channels_;
-  /// The channels a tick samples (registration order of waking).
-  std::vector<Channel*> active_;
+  std::vector<Channel> channels_;
+  /// The channels a tick samples (in the order they woke).
+  std::vector<std::size_t> active_;
   /// Times of the last max_samples ticks (a ring; recent_next_ is the slot
   /// the next tick overwrites once full) -- the t of an idle run's points.
   std::vector<sim::Time> recent_ticks_;

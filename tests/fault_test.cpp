@@ -278,7 +278,7 @@ class FaultDropTimes final : public net::PortObserver {
 TEST(StackFold, LinkDownExactlyAtArrivalDrops) {
   HostRig rig;
   FaultDropTimes drops;
-  rig.port->set_observer(&drops);
+  rig.port->set_observers({&drops});
   FaultInjector injector(rig.sim);
   injector.schedule_link_down(*rig.port, HostRig::kArrival,
                               sim::kMillisecond);
@@ -423,7 +423,7 @@ TEST(PortFaults, PortConfigValidation) {
 TEST(Invariants, CleanOnRealPortTraffic) {
   PortRig rig;
   net::InvariantChecker checker;
-  rig.port->set_observer(&checker);
+  rig.port->set_observers({&checker});
   for (int i = 0; i < 50; ++i) rig.port->enqueue(make_test_packet(1500), 0);
   rig.sim.run();
   EXPECT_EQ(rig.peer.packets.size(), 50u);
@@ -437,7 +437,7 @@ TEST(Invariants, CleanUnderLinkFlapsAndLoss) {
   cfg.buffer_bytes = 20'000;
   PortRig rig(cfg);
   net::InvariantChecker checker(/*fail_fast=*/false);
-  rig.port->set_observer(&checker);
+  rig.port->set_observers({&checker});
   BernoulliLoss loss(0.1, 3);
   rig.port->set_loss_model(&loss);
   FaultInjector injector(rig.sim);

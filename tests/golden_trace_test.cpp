@@ -95,7 +95,7 @@ Run run_scenario_with(const core::SchedConfig& sched_cfg,
 
   std::ostringstream out;
   obs::JsonlTraceWriter writer(out);
-  port.set_observer(&writer);
+  port.set_observers({&writer});
 
   auto enq = [&](std::size_t queue, std::uint32_t size, std::uint64_t flow) {
     port.enqueue(test::make_test_packet(size, static_cast<std::uint8_t>(queue),

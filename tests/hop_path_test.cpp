@@ -8,7 +8,10 @@
 // digests of its tcn-trace-1 stream, its tcn-series-1 JSONL and a summary
 // line (FCTs, drops by class, marks, sim end, invariant and stability
 // results), plus the number of events the simulator would execute without
-// the receive-stack fold: events + packets delivered to hosts.
+// the receive-stack fold: events + packets delivered to hosts. A fifth,
+// full-size run pins the metrics snapshot and series dump of the
+// 12x12x12 fabric (tests/golden/fullsize_obs_digest.txt): the small
+// fabrics keep port and queue indices to one digit.
 //
 // The pinned file was written by the tree before the fold existed (it ran
 // one event per link arrival and one per receive-stack delay), so this test
@@ -219,6 +222,51 @@ TEST(HopPath, OutputsMatchTheUnfoldedSimulator) {
     }
   }
   if (out_path != nullptr) obs::write_text_file(out_path, out);
+}
+
+// Full-size fabric: the 12x12x12 leaf-spine (two-digit leaf, spine, host
+// and port indices) with 13 queues per switch port (PIAS + 12 services, so
+// two-digit queue indices too), metrics and sampling on. Every metric and
+// series channel name sorts bytewise -- "leaf0.p10" before "leaf0.p2",
+// "h10" before "h2", "q10" before "q2" -- and the pinned digests, taken
+// from the tree before the port probe existed, hold that order. To print
+// the current tree's digests in the file's format, run the test with
+// TCN_FULLSIZE_DIGEST_OUT=/tmp/fullsize_obs_digest.txt set:
+//
+//   ./build/tests/hop_path_test --gtest_filter='*FullSize*'
+TEST(HopPath, FullSizeMetricsAndSeriesMatchThePinnedDigests) {
+  core::FctExperiment cfg = core::parse_cli(
+      {"--topology", "leafspine", "--sched", "sp-dwrr", "--pias",
+       "--services", "12", "--scheme", "tcn", "--transport", "dctcp",
+       "--load", "0.8", "--flows", "120", "--sample-interval-us", "1000",
+       "--sample-ring", "4", "--seed", "1"});
+  cfg.collect_metrics = true;
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("tcn_fullsize_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  cfg.series_out = (dir / "series.jsonl").string();
+  const core::FctReport r = core::run_fct_experiment(cfg);
+  const std::string line =
+      "leafspine_12x12x12 seed=1 metrics=" +
+      hex(fnv1a(obs::metrics_to_json(r.metrics))) +
+      " series=" + hex(fnv1a(read_file(cfg.series_out))) + "\n";
+  std::filesystem::remove_all(dir);
+
+  if (const char* out_path = std::getenv("TCN_FULLSIZE_DIGEST_OUT")) {
+    obs::write_text_file(
+        out_path,
+        "# tcn full-size obs digests: metrics=<fnv1a64 of the tcn-metrics-1\n"
+        "# snapshot> series=<fnv1a64 of the tcn-series-1 JSONL>\n" +
+            line);
+    return;
+  }
+  std::ifstream in(std::string(GOLDEN_DIR) + "/fullsize_obs_digest.txt");
+  std::string pinned;
+  for (std::string l; std::getline(in, l);) {
+    if (!l.empty() && l[0] != '#') pinned = l + "\n";
+  }
+  ASSERT_FALSE(pinned.empty());
+  EXPECT_EQ(line, pinned);
 }
 
 }  // namespace

@@ -341,7 +341,7 @@ TEST(SwitchTest, DscpClassifierClampsToQueueCount) {
                              std::make_unique<NullMarker>());
   sw.add_route(1, {p});
   EnqueueQueues seen;
-  sw.port(p).set_observer(&seen);
+  sw.port(p).set_observers({&seen});
   for (std::uint8_t dscp = 0; dscp < 10; ++dscp) {
     auto pkt = make_test_packet(100, dscp);
     pkt->dst = 1;

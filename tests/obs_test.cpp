@@ -12,13 +12,19 @@
 #include <string>
 #include <vector>
 
+#include "aqm/tcn.hpp"
 #include "core/experiment.hpp"
+#include "core/schemes.hpp"
+#include "net/packet.hpp"
+#include "net/port.hpp"
 #include "net/trace.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json_value.hpp"
 #include "obs/metrics.hpp"
 #include "runner/results.hpp"
 #include "runner/sweep.hpp"
+#include "test_util.hpp"
 
 namespace tcn::obs {
 namespace {
@@ -279,20 +285,82 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 }
 
 /// Observer asserting globally monotone event timestamps (events are
-/// emitted in simulation order across all ports).
+/// emitted in simulation order across all ports). It also keeps the trace
+/// view of every queue: dequeues, marks and dequeued bytes.
 class MonotoneChecker final : public net::PortObserver {
  public:
+  struct QueueTally {
+    std::uint64_t deq = 0;
+    std::uint64_t marks = 0;
+    std::uint64_t tx_bytes = 0;
+  };
+
   void on_event(const net::TraceRecord& rec) override {
     EXPECT_GE(rec.t, last_) << "timestamps went backwards at " << rec.port;
     last_ = rec.t;
     ++events_;
+    if (rec.port_index >= ports_.size()) ports_.resize(rec.port_index + 1);
+    auto& [name, queues] = ports_[rec.port_index];
+    if (name.empty()) name = rec.port;
+    if (rec.queue >= queues.size()) queues.resize(rec.queue + 1);
+    if (rec.event == net::TraceEvent::kMark) ++queues[rec.queue].marks;
+    if (rec.event == net::TraceEvent::kDequeue) {
+      ++queues[rec.queue].deq;
+      queues[rec.queue].tx_bytes += rec.size;
+    }
   }
   [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
+  /// The tally of channel "<port>.q<queue>" (zero if it saw no event).
+  [[nodiscard]] QueueTally tally(const std::string& channel) const {
+    for (const auto& [name, queues] : ports_) {
+      for (std::size_t q = 0; q < queues.size(); ++q) {
+        if (name + ".q" + std::to_string(q) == channel) return queues[q];
+      }
+    }
+    return {};
+  }
 
  private:
   sim::Time last_ = 0;
   std::uint64_t events_ = 0;
+  /// By TraceRecord::port_index: the port's name and per-queue tallies.
+  std::vector<std::pair<std::string, std::vector<QueueTally>>> ports_;
 };
+
+/// One channel of a tcn-series-1 dump, its points summed over every tick.
+struct SeriesSums {
+  std::size_t points = 0;
+  bool all_zero = true;  ///< every point's counts and depth are 0
+  std::uint64_t deq = 0;
+  std::uint64_t marks = 0;
+  std::uint64_t tx_bytes = 0;
+};
+
+/// Channel name -> sums, plus the dump's tick count.
+std::map<std::string, SeriesSums> read_series(const std::string& path,
+                                              std::uint64_t& ticks) {
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  ticks = obs::JsonValue::parse(line).at("ticks").as_u64();
+  std::map<std::string, SeriesSums> out;
+  while (std::getline(in, line)) {
+    const obs::JsonValue ch = obs::JsonValue::parse(line);
+    SeriesSums& sums = out[ch.at("channel").as_string()];
+    for (const obs::JsonValue& pt : ch.at("points").as_array()) {
+      // [t, depth_bytes, depth_packets, deq, sojourn_sum, marks, tx_bytes]
+      const auto& f = pt.as_array();
+      ++sums.points;
+      for (std::size_t i = 1; i < f.size(); ++i) {
+        sums.all_zero = sums.all_zero && f[i].as_u64() == 0;
+      }
+      sums.deq += f[3].as_u64();
+      sums.marks += f[5].as_u64();
+      sums.tx_bytes += f[6].as_u64();
+    }
+  }
+  return out;
+}
 
 enum class MarkSide { kEnqueue, kDequeue };
 
@@ -356,15 +424,55 @@ core::FctExperiment grid_config(const GridCase& c) {
 }
 
 TEST(ObsProperties, PortAccountingHoldsAcrossSchedulersAndAqms) {
+  const std::string series_path =
+      ::testing::TempDir() + "obs_test_grid_series.jsonl";
+  std::size_t never_woken = 0;
   for (const auto& c : kGrid) {
     SCOPED_TRACE(c.label);
     auto cfg = grid_config(c);
     MonotoneChecker monotone;
     cfg.extra_observer = &monotone;
+    // Sampling on, with a ring long enough to keep every tick.
+    cfg.timeseries.interval = 1000 * sim::kMicrosecond;
+    cfg.timeseries.max_samples = 1 << 20;
+    cfg.series_out = series_path;
     const auto report = core::run_fct_experiment(cfg);
     ASSERT_TRUE(report.metrics_collected);
     EXPECT_GT(monotone.events(), 0u);
     const Indexed m(report.metrics);
+
+    // Cross-view: every port queue's series, summed over all ticks, equals
+    // the snapshot's counters and the trace stream, and the switch ports'
+    // marks equal the Port::counters() total in the report.
+    std::uint64_t ticks = 0;
+    const auto series = read_series(series_path, ticks);
+    EXPECT_GT(ticks, 0u);
+    EXPECT_EQ(series.size(), report.series_channels);
+    std::uint64_t switch_series_marks = 0;
+    std::map<std::string, std::uint64_t> port_series_marks;
+    for (const auto& [channel, sums] : series) {
+      SCOPED_TRACE(channel);
+      EXPECT_EQ(sums.points, ticks);  // every tick, woken or not
+      const std::string port = channel.substr(0, channel.rfind(".q"));
+      EXPECT_EQ(sums.deq, m.counter("port." + channel + ".deq_packets"));
+      const auto trace = monotone.tally(channel);
+      EXPECT_EQ(sums.deq, trace.deq);
+      EXPECT_EQ(sums.marks, trace.marks);
+      EXPECT_EQ(sums.tx_bytes, trace.tx_bytes);
+      port_series_marks["port." + port] += sums.marks;
+      if (!ends_with(port, ".nic")) switch_series_marks += sums.marks;
+      if (m.counter("port." + channel + ".enq_packets") == 0) {
+        // A channel that never woke still serializes its all-zero run.
+        EXPECT_TRUE(sums.all_zero);
+        ++never_woken;
+      }
+    }
+    for (const auto& [port, marks] : port_series_marks) {
+      EXPECT_EQ(marks, m.counter(port + ".marks.enqueue") +
+                           m.counter(port + ".marks.dequeue"))
+          << port;
+    }
+    EXPECT_EQ(switch_series_marks, report.switch_marks);
 
     std::uint64_t total_deq = 0;
     std::uint64_t total_marks = 0;
@@ -438,6 +546,91 @@ TEST(ObsProperties, PortAccountingHoldsAcrossSchedulersAndAqms) {
     EXPECT_TRUE(saw_aqm);
     EXPECT_EQ(aqm_marks, total_marks);
   }
+  EXPECT_GT(never_woken, 0u);  // the all-zero path above was exercised
+  std::remove(series_path.c_str());
+}
+
+TEST(ObsProperties, OnePortsViewsAgreeQueueByQueue) {
+  // One SP+DWRR port under a 20us TCN marker with metrics and sampling on:
+  // bursts build backlog (dequeue marks and a tail drop), queue 3 never
+  // sees a packet. Port::counters(), the probe's cells, the snapshot and
+  // the series summed over every tick must tell the same story.
+  net::PacketUidScope uid_scope;
+  net::PacketPool pool;
+  net::PacketPool::Scope pool_scope(pool);
+  MetricsRegistry registry;
+  MetricsRegistry::Scope metrics_scope(registry);
+  obs::TimeSeriesConfig ts_cfg;
+  ts_cfg.interval = 10 * sim::kMicrosecond;
+  ts_cfg.max_samples = 1 << 16;
+  obs::TimeSeries series(ts_cfg);
+  obs::TimeSeries::Scope series_scope(series);
+
+  sim::Simulator sim;
+  core::SchedConfig sched;
+  sched.kind = core::SchedKind::kSpDwrr;
+  sched.num_queues = 4;
+  sched.num_sp = 1;
+  net::PortConfig cfg;
+  cfg.rate_bps = 1'000'000'000;
+  cfg.num_queues = 4;
+  cfg.buffer_bytes = 9'000;
+  net::Port port(sim, "sw0.p0", cfg, core::make_scheduler_factory(sched)(),
+                 std::make_unique<aqm::TcnMarker>(20 * sim::kMicrosecond));
+  test::CaptureNode sink;
+  port.connect(&sink, 0);
+  for (const sim::Time at : {0, 5'000, 12'000, 40'000}) {
+    sim.schedule_at(at, [&] {
+      for (std::uint64_t i = 0; i < 4; ++i) {
+        port.enqueue(test::make_test_packet(1500, 0, i), i % 3);
+      }
+    });
+  }
+  series.start(sim);
+  sim.run();
+
+  const Indexed m(registry.snapshot());
+  const net::Port::Counters totals = port.counters();
+  EXPECT_GT(totals.marks, 0u);
+  EXPECT_GT(totals.drops, 0u);
+  net::Port::Counters sums;
+  for (std::size_t q = 0; q < 4; ++q) {
+    SCOPED_TRACE(q);
+    const obs::TimeSeries::Channel& ch = series.channel(q);
+    const std::string key = "port." + ch.name();
+    std::uint64_t deq = 0, marks = 0, tx_bytes = 0;
+    const auto points = ch.points();
+    EXPECT_EQ(points.size(), series.ticks());
+    for (const obs::SeriesPoint& p : points) {
+      deq += p.deq_packets;
+      marks += p.marks;
+      tx_bytes += p.tx_bytes;
+    }
+    const obs::QueueCells& cells = port.probe().cells[q];
+    EXPECT_EQ(deq, cells.tx_packets);
+    EXPECT_EQ(deq, m.counter(key + ".deq_packets"));
+    EXPECT_EQ(cells.enq_packets, m.counter(key + ".enq_packets"));
+    EXPECT_EQ(cells.drops, m.counter(key + ".drop_packets"));
+    EXPECT_EQ(marks, cells.marks_enqueue + cells.marks_dequeue);
+    EXPECT_EQ(tx_bytes, cells.tx_bytes);
+    sums.tx_packets += deq;
+    sums.tx_bytes += tx_bytes;
+    sums.marks += marks;
+    sums.drops += cells.drops;
+    if (q == 3) {
+      EXPECT_EQ(cells.enq_packets, 0u);
+      for (const obs::SeriesPoint& p : points) {
+        EXPECT_EQ(p.depth_bytes + p.deq_packets + p.marks + p.tx_bytes, 0u);
+      }
+    }
+  }
+  EXPECT_EQ(sums.tx_packets, totals.tx_packets);
+  EXPECT_EQ(sums.tx_bytes, totals.tx_bytes);
+  EXPECT_EQ(sums.marks, totals.marks);
+  EXPECT_EQ(sums.drops, totals.drops);
+  EXPECT_EQ(totals.marks, m.counter("port.sw0.p0.marks.enqueue") +
+                              m.counter("port.sw0.p0.marks.dequeue"));
+  EXPECT_EQ(totals.drops, m.counter("port.sw0.p0.drops.buffer"));
 }
 
 TEST(ObsProperties, AifoSchedDropsAreDistinctFromBufferDrops) {

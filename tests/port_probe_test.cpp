@@ -1,0 +1,94 @@
+// Port probe set-up cost, asserted as heap allocation counts.
+//
+// This binary overrides global operator new with a counting wrapper (the
+// packet_pool_test pattern), so it can pin that observing a port -- its
+// probe taken by the run's metrics registry and time-series sampler --
+// costs a fixed number of heap allocations however many queues the port
+// has. Metrics names are built when a snapshot is taken, not per queue at
+// construction.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <optional>
+#include <string>
+
+#include "net/fifo_scheduler.hpp"
+#include "net/marker.hpp"
+#include "net/port.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
+#include "sim/simulator.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocs{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t n) { return ::operator new(n); }
+
+// See packet_pool_test: GCC's -Wmismatched-new-delete misfires on these
+// replacement deallocation functions.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
+namespace tcn {
+namespace {
+
+std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
+
+/// Heap allocations made by one Port constructor with `num_queues`
+/// queues, built with or without a metrics registry and a sampler scope
+/// installed. Everything but the constructor itself is set up outside the
+/// counted span.
+std::uint64_t port_allocs(std::size_t num_queues, bool observed) {
+  sim::Simulator sim;
+  obs::MetricsRegistry registry;
+  obs::TimeSeriesConfig ts_cfg;
+  ts_cfg.interval = 100 * sim::kMicrosecond;
+  obs::TimeSeries series(ts_cfg);
+  std::optional<obs::MetricsRegistry::Scope> metrics_scope;
+  std::optional<obs::TimeSeries::Scope> series_scope;
+  if (observed) {
+    metrics_scope.emplace(registry);
+    series_scope.emplace(series);
+  }
+  net::PortConfig cfg;
+  cfg.num_queues = num_queues;
+  std::unique_ptr<net::Scheduler> sched =
+      std::make_unique<net::FifoScheduler>();
+  std::unique_ptr<net::Marker> marker = std::make_unique<net::NullMarker>();
+  std::string name = "leaf0.p10";  // short enough for the inline buffer
+
+  const std::uint64_t before = allocs();
+  const net::Port port(sim, std::move(name), cfg, std::move(sched),
+                       std::move(marker));
+  return allocs() - before;
+}
+
+TEST(PortProbe, ObservingAPortCostsTheSameAllocationsForAnyQueueCount) {
+  const auto observer_cost = [](std::size_t queues) {
+    return port_allocs(queues, true) - port_allocs(queues, false);
+  };
+  const std::uint64_t one = observer_cost(1);
+  EXPECT_GT(one, 0u);  // the histograms block and the consumers' lists
+  EXPECT_EQ(observer_cost(8), one);
+  EXPECT_EQ(observer_cost(32), one);
+}
+
+}  // namespace
+}  // namespace tcn

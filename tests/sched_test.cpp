@@ -541,7 +541,7 @@ DiffResult run_diff(const DiffStream& s, std::size_t nq,
                     std::unique_ptr<net::Scheduler> sched) {
   Rig rig(std::move(sched), nq);
   InversionCounter counter(s.ranks);
-  rig.port->set_observer(&counter);
+  rig.port->set_observers({&counter});
   for (std::size_t i = 0; i < s.times.size(); ++i) {
     rig.sim.schedule_at(s.times[i], [&rig, &s, i] {
       rig.port->enqueue(make_test_packet(s.sizes[i], 0, i), s.queues[i]);
@@ -554,7 +554,7 @@ DiffResult run_diff(const DiffStream& s, std::size_t nq,
     r.departures.push_back(p->flow);
     r.delivered_bytes += p->size;
   }
-  rig.port->set_observer(nullptr);
+  rig.port->set_observers({});
   return r;
 }
 

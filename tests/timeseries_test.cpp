@@ -5,6 +5,7 @@
 // "stability" key) still parse.
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -185,24 +186,44 @@ TEST(StabilityAnalyzer, RegimeNamesRoundTrip) {
 }
 
 // ----------------------------------------------------------- TimeSeries -----
+//
+// These cases drive a port probe's cells by hand, the way net::Port does:
+// wake() on the queue's first packet, then cumulative counts the sampler
+// differences tick to tick.
+
+std::shared_ptr<obs::PortProbe> probe(const char* name, std::size_t queues) {
+  return std::make_shared<obs::PortProbe>(name, queues);
+}
+
+/// One packet of `bytes` admitted and dequeued after `sojourn` ns.
+void pass_packet(obs::QueueCells& c, sim::Time sojourn, std::uint64_t bytes) {
+  ++c.enq_packets;
+  c.enq_bytes += bytes;
+  ++c.tx_packets;
+  c.tx_bytes += bytes;
+  c.sojourn_ns += static_cast<std::uint64_t>(sojourn);
+}
 
 TEST(TimeSeries, RingKeepsLastMaxSamplesButAnalyzerSeesAll) {
   obs::TimeSeriesConfig cfg;
   cfg.interval = 10 * sim::kMicrosecond;
   cfg.max_samples = 4;
   obs::TimeSeries ts(cfg);
-  std::uint64_t depth = 0;
-  auto* ch = ts.add_channel("q0", 100'000, [&depth] {
-    return std::pair<std::uint64_t, std::uint64_t>{depth, depth / 1'500};
-  });
-  ch->on_enqueue();  // the queue is in use from the start
+  const auto p = probe("p0", 1);
+  ts.attach(*p, 100'000);
+  const auto* ch = &ts.channel(0);
+  obs::QueueCells& cells = p->cells[0];
+  p->wake(0);  // the queue is in use from the start
 
   sim::Simulator s;
   // Keep the event queue non-empty through 10 sampler ticks; the depth
   // steps by 1000 bytes just before each tick fires.
   for (int i = 0; i < 10; ++i) {
     s.schedule_at(static_cast<sim::Time>(i * 10 + 9) * sim::kMicrosecond,
-                  [&depth] { depth += 1'000; });
+                  [&cells] {
+                    cells.enq_bytes += 1'000;
+                    cells.enq_packets = cells.enq_bytes / 1'500;
+                  });
   }
   ts.start(s);
   s.run();
@@ -221,17 +242,17 @@ TEST(TimeSeries, AccumulatorsDrainPerTick) {
   obs::TimeSeriesConfig cfg;
   cfg.interval = 10 * sim::kMicrosecond;
   obs::TimeSeries ts(cfg);
-  auto* ch = ts.add_channel("q0", 100'000, [] {
-    return std::pair<std::uint64_t, std::uint64_t>{0, 0};
-  });
+  const auto p = probe("p0", 1);
+  ts.attach(*p, 100'000);
+  const auto* ch = &ts.channel(0);
 
   sim::Simulator s;
   // Two dequeues and a mark before the first tick; nothing afterwards.
-  s.schedule_at(5 * sim::kMicrosecond, [ch] {
-    ch->on_enqueue();
-    ch->on_dequeue(2'000, 1'500);
-    ch->on_dequeue(4'000, 1'500);
-    ch->on_mark();
+  s.schedule_at(5 * sim::kMicrosecond, [p] {
+    p->wake(0);
+    pass_packet(p->cells[0], 2'000, 1'500);
+    pass_packet(p->cells[0], 4'000, 1'500);
+    ++p->cells[0].marks_dequeue;
   });
   s.schedule_at(25 * sim::kMicrosecond, [] {});  // keeps tick 2 alive
   ts.start(s);
@@ -251,9 +272,8 @@ TEST(TimeSeries, SamplerStopsWhenSimDrainsAndRearms) {
   obs::TimeSeriesConfig cfg;
   cfg.interval = 10 * sim::kMicrosecond;
   obs::TimeSeries ts(cfg);
-  ts.add_channel("q0", 0, [] {
-    return std::pair<std::uint64_t, std::uint64_t>{0, 0};
-  });
+  const auto p = probe("p0", 1);
+  ts.attach(*p, 0);
   sim::Simulator s;
   s.schedule_at(35 * sim::kMicrosecond, [] {});
   ts.start(s);
@@ -272,20 +292,19 @@ TEST(TimeSeries, DominantChannelByTxBytesThenName) {
   obs::TimeSeriesConfig cfg;
   cfg.interval = 10 * sim::kMicrosecond;
   obs::TimeSeries ts(cfg);
-  auto* a = ts.add_channel("p0.q1", 0, [] {
-    return std::pair<std::uint64_t, std::uint64_t>{0, 0};
-  });
-  auto* b = ts.add_channel("p0.q0", 0, [] {
-    return std::pair<std::uint64_t, std::uint64_t>{0, 0};
-  });
+  // Registered first but named last: a tie must go by name, not order.
+  const auto p1 = probe("p1", 1);
+  ts.attach(*p1, 0);
+  const auto p = probe("p0", 2);
+  ts.attach(*p, 0);
   EXPECT_EQ(ts.dominant_channel()->name(), "p0.q0");  // tie -> lexicographic
 
   // tx bytes reach the analyzer at tick time, so drive one sampling tick.
   sim::Simulator s;
-  s.schedule_at(5 * sim::kMicrosecond, [a, b] {
-    for (auto* ch : {a, b}) ch->on_enqueue();
-    a->on_dequeue(1'000, 3'000);
-    b->on_dequeue(1'000, 1'500);
+  s.schedule_at(5 * sim::kMicrosecond, [p] {
+    for (std::size_t q : {0u, 1u}) p->wake(q);
+    pass_packet(p->cells[1], 1'000, 3'000);
+    pass_packet(p->cells[0], 1'000, 1'500);
   });
   ts.start(s);
   s.run();
@@ -327,23 +346,28 @@ TEST(StabilityAnalyzer, ObserveZerosMatchesZeroObservationsBitForBit) {
   }
 }
 
-/// Two channels over one depth variable: `eager` is woken at once and
-/// ticked from the start, `idle` sleeps until its queue's first enqueue.
-/// Same series either way.
+/// Two channels fed the same cells: `eager` is woken at once and ticked
+/// from the start, `idle` sleeps until its queue's first packet. Same
+/// series either way.
 struct IdlePair {
   explicit IdlePair(std::size_t max_samples) : ts(config(max_samples)) {
-    const auto probe = [this] {
-      return std::pair<std::uint64_t, std::uint64_t>{depth, depth / 1'500};
-    };
-    eager = ts.add_channel("eager", 100'000, probe);
-    eager->on_enqueue();
-    idle = ts.add_channel("idle", 100'000, probe);
+    ts.attach(*eager_probe, 100'000);
+    eager_probe->wake(0);
+    ts.attach(*idle_probe, 100'000);
+    eager = &ts.channel(0);
+    idle = &ts.channel(1);
   }
   static obs::TimeSeriesConfig config(std::size_t max_samples) {
     obs::TimeSeriesConfig cfg;
     cfg.interval = 10 * sim::kMicrosecond;
     cfg.max_samples = max_samples;
     return cfg;
+  }
+  /// Apply the same change to both queues' cells.
+  template <class F>
+  void both(F&& f) {
+    f(eager_probe->cells[0]);
+    f(idle_probe->cells[0]);
   }
   void expect_same() const {
     expect_same_result(eager->analyzer().result(eager->cap_bytes()),
@@ -360,9 +384,10 @@ struct IdlePair {
     }
   }
   obs::TimeSeries ts;
-  std::uint64_t depth = 0;
-  obs::TimeSeries::Channel* eager;
-  obs::TimeSeries::Channel* idle;
+  std::shared_ptr<obs::PortProbe> eager_probe = probe("eager", 1);
+  std::shared_ptr<obs::PortProbe> idle_probe = probe("idle", 1);
+  const obs::TimeSeries::Channel* eager;
+  const obs::TimeSeries::Channel* idle;
 };
 
 TEST(TimeSeries, IdleChannelFillsItsZeroRunOnWake) {
@@ -374,18 +399,26 @@ TEST(TimeSeries, IdleChannelFillsItsZeroRunOnWake) {
     sim::Simulator s;
     // The queue wakes at 235us (after 23 all-zero ticks), then drains.
     s.schedule_at(235 * sim::kMicrosecond, [&] {
-      pair.eager->on_enqueue();
-      pair.idle->on_enqueue();
-      pair.depth = 3'000;
+      pair.idle_probe->wake(0);
+      pair.both([](obs::QueueCells& c) {
+        c.enq_packets += 2;
+        c.enq_bytes += 3'000;
+      });
     });
     s.schedule_at(262 * sim::kMicrosecond, [&] {
-      for (auto* ch : {pair.eager, pair.idle}) {
-        ch->on_dequeue(4'000, 1'500);
-        ch->on_mark();
-      }
-      pair.depth = 1'500;
+      pair.both([](obs::QueueCells& c) {
+        ++c.tx_packets;
+        c.tx_bytes += 1'500;
+        c.sojourn_ns += 4'000;
+        ++c.marks_dequeue;
+      });
     });
-    s.schedule_at(400 * sim::kMicrosecond, [&] { pair.depth = 0; });
+    s.schedule_at(400 * sim::kMicrosecond, [&] {
+      pair.both([](obs::QueueCells& c) {
+        ++c.tx_packets;
+        c.tx_bytes += 1'500;
+      });
+    });
     s.schedule_at(500 * sim::kMicrosecond, [] {});
     pair.ts.start(s);
     s.run();

@@ -38,7 +38,7 @@ struct Rig {
 TEST(Trace, EnqueueAndDequeuePairs) {
   Rig rig;
   RecordingTracer tracer;
-  rig.port->set_observer(&tracer);
+  rig.port->set_observers({&tracer});
   for (int i = 0; i < 5; ++i) {
     rig.port->enqueue(make_test_packet(1500, 0, i), 0);
   }
@@ -58,7 +58,7 @@ TEST(Trace, EnqueueAndDequeuePairs) {
 TEST(Trace, DropEventsCarryQueueState) {
   Rig rig(/*buffer=*/2'000);
   RecordingTracer tracer;
-  rig.port->set_observer(&tracer);
+  rig.port->set_observers({&tracer});
   rig.port->enqueue(make_test_packet(1500, 0, 1), 0);  // in service
   rig.port->enqueue(make_test_packet(1500, 0, 2), 0);  // buffered
   rig.port->enqueue(make_test_packet(1500, 0, 3), 0);  // dropped
@@ -76,7 +76,7 @@ TEST(Trace, MarkEventsFromTcn) {
   Rig rig(UINT64_MAX,
           std::make_unique<aqm::TcnMarker>(10 * sim::kMicrosecond));
   RecordingTracer tracer;
-  rig.port->set_observer(&tracer);
+  rig.port->set_observers({&tracer});
   // 20 back-to-back packets: the tail waits >10us, so late ones get marked.
   for (int i = 0; i < 20; ++i) {
     rig.port->enqueue(make_test_packet(1500, 0, i), 0);
@@ -92,7 +92,7 @@ TEST(Trace, FilterAndCap) {
   RecordingTracer only_flow7(/*max=*/3, [](const net::TraceRecord& r) {
     return r.flow == 7;
   });
-  rig.port->set_observer(&only_flow7);
+  rig.port->set_observers({&only_flow7});
   for (int i = 0; i < 10; ++i) {
     rig.port->enqueue(make_test_packet(1500, 0, i % 2 == 0 ? 7 : 9), 0);
   }
@@ -107,7 +107,7 @@ TEST(Trace, TextTracerFormatsLines) {
   Rig rig;
   std::ostringstream out;
   TextTracer tracer(out);
-  rig.port->set_observer(&tracer);
+  rig.port->set_observers({&tracer});
   auto p = make_test_packet(1500, 2, 42);
   p->seq = 1460;
   rig.port->enqueue(std::move(p), 0);
@@ -123,7 +123,7 @@ TEST(Trace, FlowSummaryAggregates) {
   Rig rig(/*buffer=*/4'500,
           std::make_unique<aqm::TcnMarker>(5 * sim::kMicrosecond));
   FlowTraceSummary summary;
-  rig.port->set_observer(&summary);
+  rig.port->set_observers({&summary});
   for (int i = 0; i < 6; ++i) {
     rig.port->enqueue(make_test_packet(1500, 0, /*flow=*/i % 2), 0);
   }
@@ -135,11 +135,10 @@ TEST(Trace, FlowSummaryAggregates) {
   EXPECT_THROW(summary.flow(99), std::out_of_range);
 }
 
-TEST(Trace, TeeFansOut) {
+TEST(Trace, EveryObserverSeesEveryEvent) {
   Rig rig;
   RecordingTracer a, b;
-  TeeObserver tee({&a, &b});
-  rig.port->set_observer(&tee);
+  rig.port->set_observers({&a, &b});
   rig.port->enqueue(make_test_packet(1500, 0, 1), 0);
   rig.sim.run();
   EXPECT_EQ(a.records().size(), b.records().size());
@@ -149,9 +148,9 @@ TEST(Trace, TeeFansOut) {
 TEST(Trace, DetachStopsEvents) {
   Rig rig;
   RecordingTracer tracer;
-  rig.port->set_observer(&tracer);
+  rig.port->set_observers({&tracer});
   rig.port->enqueue(make_test_packet(1500, 0, 1), 0);
-  rig.port->set_observer(nullptr);
+  rig.port->set_observers({});
   rig.port->enqueue(make_test_packet(1500, 0, 2), 0);
   rig.sim.run();
   for (const auto& r : tracer.records()) EXPECT_EQ(r.flow, 1u);
