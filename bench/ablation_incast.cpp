@@ -50,10 +50,10 @@ Row run(core::Scheme scheme, std::uint32_t fanout, std::uint64_t seed) {
       topo::build_star(simulator, star, core::make_scheduler_factory(sched),
                        core::make_marker_factory(scheme, params));
 
-  transport::FlowManager fm;
-  workload::FlowLauncher launch = [&fm](net::Host& a, net::Host& b,
+  transport::FlowSlab flows;
+  workload::FlowLauncher launch = [&flows](net::Host& a, net::Host& b,
                                         transport::FlowSpec s) {
-    fm.start_flow(a, b, std::move(s));
+    flows.launch(a, b, std::move(s));
   };
   std::vector<net::Host*> servers;
   for (std::size_t i = 1; i < network.num_hosts(); ++i) {

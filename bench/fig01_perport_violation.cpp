@@ -44,7 +44,7 @@ Result run(core::Scheme scheme, int s2_flows, std::uint64_t seed) {
       topo::build_star(simulator, star, core::make_scheduler_factory(sched),
                        core::make_marker_factory(scheme, params));
 
-  transport::FlowManager fm;
+  transport::FlowSlab flows;
   std::vector<std::unique_ptr<stats::GoodputMeter>> meters;
   meters.push_back(std::make_unique<stats::GoodputMeter>(10 * sim::kMillisecond));
   meters.push_back(std::make_unique<stats::GoodputMeter>(10 * sim::kMillisecond));
@@ -60,7 +60,7 @@ Result run(core::Scheme scheme, int s2_flows, std::uint64_t seed) {
       spec.on_deliver = [meter](std::uint32_t b, sim::Time t) {
         meter->record(b, t);
       };
-      fm.start_flow(network.host(host), network.host(0), spec);
+      flows.launch(network.host(host), network.host(0), spec);
     }
   };
   start(1, 0, 1);         // service 1: always one flow

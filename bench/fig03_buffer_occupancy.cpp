@@ -53,13 +53,13 @@ Result run(core::Scheme scheme, std::uint64_t seed) {
       topo::build_star(simulator, star, core::make_scheduler_factory(sched),
                        core::make_marker_factory(scheme, params));
 
-  transport::FlowManager fm;
+  transport::FlowSlab flows;
   for (std::size_t h = 1; h <= 8; ++h) {
     transport::FlowSpec spec;
     spec.size = 2'000'000'000ULL;
     spec.tcp.cc = transport::CongestionControl::kEcnStar;
     spec.tcp.init_cwnd_pkts = 16;
-    fm.start_flow(network.host(h), network.host(0), spec);
+    flows.launch(network.host(h), network.host(0), spec);
   }
 
   auto& occupancy = registry.gauge("fig03.occupancy_bytes");

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
       topo::build_star(simulator, star, core::make_scheduler_factory(sched),
                        core::make_marker_factory(core::Scheme::kTcn, params));
 
-  transport::FlowManager fm;
+  transport::FlowSlab flows;
   std::vector<std::unique_ptr<stats::GoodputMeter>> meters;
   for (int q = 0; q < 3; ++q) {
     meters.push_back(
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       spec.on_deliver = [meter](std::uint32_t b, sim::Time t) {
         meter->record(b, t);
       };
-      fm.start_flow(network.host(host), network.host(0), spec);
+      flows.launch(network.host(host), network.host(0), spec);
     }
   };
   start(1, 0, 1);

@@ -60,7 +60,7 @@ Result run(core::Scheme scheme, std::uint64_t seed) {
       topo::build_star(simulator, star, core::make_scheduler_factory(sched),
                        core::make_marker_factory(scheme, params));
 
-  transport::FlowManager fm;
+  transport::FlowSlab flows;
   auto start = [&](std::size_t host, std::uint8_t q, int n) {
     for (int i = 0; i < n; ++i) {
       transport::FlowSpec spec;
@@ -69,7 +69,7 @@ Result run(core::Scheme scheme, std::uint64_t seed) {
       spec.data_dscp = transport::constant_dscp(q);
       spec.ack_dscp = q;
       spec.tcp.max_cwnd_bytes = 64'000;
-      fm.start_flow(network.host(host), network.host(0), spec);
+      flows.launch(network.host(host), network.host(0), spec);
     }
   };
   start(1, 0, 1);  // strict queue, 500Mbps source

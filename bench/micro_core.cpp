@@ -41,7 +41,7 @@
 #include "sched/wfq.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
-#include "traffic/flow_slab.hpp"
+#include "transport/flow.hpp"
 #include "transport/tcp.hpp"
 
 namespace {
@@ -369,22 +369,22 @@ BenchResult bench_packet_legacy(double min_secs) {
 constexpr int kFlowBatch = 256;
 constexpr int kFlowInFlight = 32;
 
-/// Open-loop flow churn against the FlowSlab: acquire a slot, construct the
-/// TcpSink/TcpSender pair into it (recycled ports included), hold a small
-/// concurrent population, recycle. After warmup every acquire is a LIFO
+/// Open-loop flow churn against the FlowSlab: open a connection (its
+/// TcpSink/TcpSender pair built into a slot, recycled ports included), hold
+/// a small concurrent population, recycle. After warmup every open is a LIFO
 /// free-list pop and the TCP objects reconstruct into warm slots -- the
 /// steady-state cost of starting one flow in the open-loop engine.
 BenchResult bench_flow_slab(double min_secs) {
   sim::Simulator s;
   net::PacketUidScope uids;
-  traffic::FlowUidScope fuids;
   net::PortConfig nic;
   nic.rate_bps = 10'000'000'000ULL;
   net::Host src(s, "h0", 1, nic);
   net::Host dst(s, "h1", 2, nic);
-  traffic::FlowSlab slab;
-  traffic::FlowSlab::Scope scope(slab);
-  transport::TcpConfig tcp;
+  transport::FlowSlab slab;
+  transport::FlowSpec spec;
+  spec.data_dscp = transport::constant_dscp(0);
+  std::uint64_t flow_id = 0;
   std::vector<std::uint32_t> in_flight;
   in_flight.reserve(kFlowInFlight);
   BenchResult r = measure(
@@ -392,19 +392,7 @@ BenchResult bench_flow_slab(double min_secs) {
       [&] {
         for (int i = 0; i < kFlowBatch / kFlowInFlight; ++i) {
           for (int j = 0; j < kFlowInFlight; ++j) {
-            const std::uint32_t idx = slab.acquire();
-            auto& slot = slab.at(idx);
-            slot.flow_id = fuids.next();
-            slot.size = 10'000;
-            slot.src_addr = src.address();
-            slot.dst_addr = dst.address();
-            slot.sport = slab.checkout_port(src);
-            slot.dport = slab.checkout_port(dst);
-            slot.sink.emplace(dst, slot.dport, 0);
-            slot.sender.emplace(src, dst.address(), slot.sport, slot.dport,
-                                slot.flow_id, tcp,
-                                transport::constant_dscp(0), 0, nullptr);
-            in_flight.push_back(idx);
+            in_flight.push_back(slab.open(src, dst, spec, ++flow_id));
           }
           for (const auto idx : in_flight) slab.recycle(idx);
           in_flight.clear();
@@ -417,10 +405,10 @@ BenchResult bench_flow_slab(double min_secs) {
   return r;
 }
 
-/// The closed-loop FlowManager memory model applied to the same churn: one
+/// Reference model without the slab, applied to the same churn: one
 /// heap-allocated entry per flow, fresh ephemeral ports every time, entry
 /// freed (not recycled) at completion. What open-loop runs would pay per
-/// flow without the slab.
+/// flow without slot and port reuse.
 BenchResult bench_flow_heap(double min_secs) {
   sim::Simulator s;
   net::PacketUidScope uids;
@@ -455,7 +443,7 @@ BenchResult bench_flow_heap(double min_secs) {
             const std::uint16_t dport = dst->allocate_port();
             e->sink.emplace(*dst, dport, 0);
             e->sender.emplace(*src, dst->address(), sport, dport, ++flow_id,
-                              tcp, transport::constant_dscp(0), 0, nullptr);
+                              tcp, transport::constant_dscp(0), 0);
             in_flight.push_back(std::move(e));
           }
           in_flight.clear();

@@ -117,7 +117,7 @@ inline RateTrace run_rate_trace(std::uint64_t dq_thresh, std::uint64_t seed) {
   auto network =
       topo::build_star(simulator, star, sched_factory, marker_factory);
 
-  transport::FlowManager fm;
+  transport::FlowSlab flows;
   auto start = [&](std::size_t host, std::uint8_t q) {
     transport::FlowSpec spec;
     spec.size = 4'000'000'000ULL;
@@ -126,7 +126,7 @@ inline RateTrace run_rate_trace(std::uint64_t dq_thresh, std::uint64_t seed) {
     spec.tcp.init_cwnd_pkts = 16;
     spec.data_dscp = transport::constant_dscp(q);
     spec.ack_dscp = q;
-    fm.start_flow(network.host(host), network.host(0), spec);
+    flows.launch(network.host(host), network.host(0), spec);
   };
   for (std::size_t h = 1; h <= 8; ++h) start(h, 0);
   simulator.schedule_at(kRateTraceJoin, [&] {

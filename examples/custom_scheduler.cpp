@@ -81,7 +81,7 @@ int main() {
         return std::make_unique<aqm::TcnMarker>(256 * sim::kMicrosecond);
       });
 
-  transport::FlowManager fm;
+  transport::FlowSlab flows;
   std::vector<std::unique_ptr<stats::GoodputMeter>> meters;
   for (int q = 0; q < 2; ++q) {
     meters.push_back(
@@ -95,7 +95,7 @@ int main() {
     spec.on_deliver = [meter](std::uint32_t b, sim::Time t) {
       meter->record(b, t);
     };
-    fm.start_flow(network.host(1 + q), network.host(0), spec);
+    flows.launch(network.host(1 + q), network.host(0), spec);
   }
   simulator.run(sim::kSecond);
 

@@ -43,7 +43,7 @@ int main() {
                                       core::Scheme::kTcn, params));
 
   // 3. Start one long flow per service queue and meter the goodput.
-  transport::FlowManager flows;
+  transport::FlowSlab flows;
   std::vector<std::unique_ptr<stats::GoodputMeter>> meters;
   for (std::uint8_t q = 0; q < 3; ++q) {
     meters.push_back(
@@ -59,7 +59,7 @@ int main() {
     spec.on_deliver = [meter](std::uint32_t bytes, sim::Time now) {
       meter->record(bytes, now);
     };
-    flows.start_flow(network.host(1 + q), network.host(0), spec);
+    flows.launch(network.host(1 + q), network.host(0), spec);
   }
 
   // 4. Run one simulated second and report.

@@ -15,7 +15,6 @@
 #include "sim/simulator.hpp"
 #include "topo/network.hpp"
 #include "traffic/engine.hpp"
-#include "traffic/flow_slab.hpp"
 #include "transport/connection_pool.hpp"
 #include "transport/flow.hpp"
 #include "workload/traffic_gen.hpp"
@@ -50,8 +49,8 @@ FctReport run_fct_experiment(const FctExperiment& cfg) {
 
   // Per-run flow uids, the flow-granularity sibling: the open-loop engine
   // numbers its flows from here, so jobs=1 vs jobs=N sweeps with traffic
-  // cells in the grid stay byte-identical. Installed unconditionally (the
-  // closed-loop managers keep their own sequential ids and never draw).
+  // cells in the grid stay byte-identical. Installed unconditionally (closed
+  // loop numbers its cold flows and messages 1..n itself and never draws).
   traffic::FlowUidScope flow_uid_scope;
 
   // Per-run packet pool (sibling of the uid scope): every make_packet() in
@@ -194,18 +193,6 @@ FctReport run_fct_experiment(const FctExperiment& cfg) {
     }
     ++flows_completed;
   };
-  transport::FlowManager fm(on_flow_done);
-  transport::ConnectionPool pool(on_flow_done);
-  const workload::FlowLauncher launcher =
-      cfg.persistent_connections
-          ? workload::FlowLauncher([&pool](net::Host& src, net::Host& dst,
-                                           transport::FlowSpec spec) {
-              pool.submit(src, dst, std::move(spec));
-            })
-          : workload::FlowLauncher([&fm](net::Host& src, net::Host& dst,
-                                         transport::FlowSpec spec) {
-              fm.start_flow(src, dst, std::move(spec));
-            });
 
   // DSCP plan: strict-priority queues occupy dscp [0, num_sp); services map
   // to dscp num_sp + queue. With PIAS, the head of every flow is tagged into
@@ -242,23 +229,37 @@ FctReport run_fct_experiment(const FctExperiment& cfg) {
   std::unique_ptr<workload::ConvergeGenerator> converge;
   std::unique_ptr<workload::AllToAllGenerator> all2all;
 
-  // Open-loop state. The slab is declared after the simulator and network:
-  // destruction is reverse order, so live slots tear down (cancelling
-  // timers, unbinding ports, recycling packets) while both are still alive.
-  std::optional<traffic::FlowSlab> flow_slab;
-  std::optional<traffic::FlowSlab::Scope> flow_slab_scope;
+  // Every TCP endpoint of the run lives in this slab. It is declared after
+  // the simulator and network: destruction is reverse order, so live slots
+  // tear down (cancelling timers, unbinding ports, recycling packets) while
+  // both are still alive. Closed loop never recycles its slots (see
+  // transport/flow.hpp); open loop recycles each at completion.
+  transport::FlowSlab flow_slab;
+  transport::ConnectionPool pool(flow_slab);
   std::unique_ptr<traffic::TrafficEngine> engine;
 
+  // Closed loop: every flow's completion hook feeds the collector.
+  const workload::FlowLauncher launcher =
+      [&](net::Host& src, net::Host& dst, transport::FlowSpec spec) {
+        spec.on_complete = [&on_flow_done](const transport::FlowResult& r) {
+          on_flow_done(r);
+        };
+        if (cfg.persistent_connections) {
+          pool.submit(src, dst, std::move(spec));
+        } else {
+          flow_slab.launch(src, dst, std::move(spec));
+        }
+      };
+
   if (open_loop) {
-    flow_slab.emplace();
-    flow_slab_scope.emplace(*flow_slab);
     traffic::EngineConfig ecfg;
     ecfg.load = cfg.load;
     ecfg.max_flows = cfg.num_flows;
     ecfg.seed = cfg.seed;
     ecfg.converge = cfg.topology == FctExperiment::Topology::kStarConverge;
     engine = std::make_unique<traffic::TrafficEngine>(
-        sim, network.host_ptrs(), cfg.traffic, ecfg, spec_fn, on_flow_done);
+        sim, flow_slab, network.host_ptrs(), cfg.traffic, ecfg, spec_fn,
+        on_flow_done);
     engine->start();
   } else if (cfg.topology == FctExperiment::Topology::kStarConverge) {
     // Host 0 is the client (receiver); all others serve data to it, and the
@@ -327,7 +328,7 @@ FctReport run_fct_experiment(const FctExperiment& cfg) {
   report.flows_started =
       open_loop ? engine->arrivals()
                 : (cfg.persistent_connections ? pool.messages_submitted()
-                                              : fm.flows_started());
+                                              : flow_slab.launched());
   report.flows_completed = flows_completed;
   if (open_loop) {
     report.traffic_open_loop = true;
@@ -336,9 +337,9 @@ FctReport run_fct_experiment(const FctExperiment& cfg) {
     report.traffic_active_peak = engine->active_peak();
     report.traffic_offered_bytes = engine->offered_bytes();
     report.traffic_achieved_bytes = engine->achieved_bytes();
-    report.slab_fresh = flow_slab->fresh_allocs();
-    report.slab_reused = flow_slab->reuses();
-    report.slab_recycled = flow_slab->recycles();
+    report.slab_fresh = flow_slab.fresh_allocs();
+    report.slab_reused = flow_slab.reuses();
+    report.slab_recycled = flow_slab.recycles();
   }
   report.events = sim.events_executed();
   report.sim_end = sim.now();

@@ -99,7 +99,7 @@ struct FctExperiment {
   /// --traffic grammar). When enabled() the closed-loop generators are
   /// replaced by traffic::TrafficEngine: arrivals come from the spec's
   /// tenants/trace on their own clock, per-flow transport state recycles
-  /// through a per-run traffic::FlowSlab, FCT statistics stream through the
+  /// through a per-run transport::FlowSlab, FCT statistics stream through the
   /// O(1)-memory collector, `load` may exceed 1 (sustained overload), and
   /// `num_flows` caps total tenant arrivals (0 = unlimited -- then a
   /// time_limit or budget must stop the run). A default pending-event

@@ -42,12 +42,20 @@ void Switch::connect(std::size_t port, Node* peer, std::size_t peer_ingress) {
   ports_.at(port)->connect(peer, peer_ingress);
 }
 
-void Switch::add_route(std::uint32_t dst, std::vector<std::size_t> ports) {
+void Switch::add_route(std::uint32_t dst, std::span<const std::size_t> ports) {
   if (dst >= routes_.size()) routes_.resize(std::size_t{dst} + 1);
-  routes_[dst] = std::move(ports);
+  // Reuse any run of the member array that already lists these ports in
+  // this order: a fabric has a handful of distinct groups per switch.
+  auto it = std::search(members_.begin(), members_.end(), ports.begin(),
+                        ports.end());
+  if (it == members_.end()) {
+    it = members_.insert(members_.end(), ports.begin(), ports.end());
+  }
+  routes_[dst] = Route{static_cast<std::uint32_t>(it - members_.begin()),
+                       static_cast<std::uint32_t>(ports.size())};
 }
 
-std::size_t Switch::pick_member(const std::vector<std::size_t>& group,
+std::size_t Switch::pick_member(std::span<const std::size_t> group,
                                 const Packet& p) const {
   const std::uint64_t hash = flow_hash(p);
   const std::size_t out = group[hash % group.size()];
@@ -69,13 +77,16 @@ std::size_t Switch::pick_member(const std::vector<std::size_t>& group,
 }
 
 void Switch::receive(PacketPtr p, std::size_t /*ingress*/) {
-  if (p->dst >= routes_.size() || routes_[p->dst].empty()) {
+  const Route route = p->dst < routes_.size() ? routes_[p->dst] : Route{};
+  if (route.count == 0) {
     ++unrouted_;
     return;
   }
-  const std::vector<std::size_t>& group = routes_[p->dst];
-  Port& port =
-      *ports_[group.size() == 1 ? group[0] : pick_member(group, *p)];
+  const std::size_t out =
+      route.count == 1
+          ? members_[route.offset]
+          : pick_member({members_.data() + route.offset, route.count}, *p);
+  Port& port = *ports_[out];
   const std::size_t q =
       std::min<std::size_t>(p->dscp, port.num_queues() - 1);
   port.enqueue(std::move(p), q);

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,8 +30,12 @@ class Switch final : public Node {
   /// Route packets destined to host `dst` out one of `ports` (ECMP when the
   /// group has several members; the 5-tuple hash picks a member so a flow
   /// stays on one path). Host addresses are dense indices: the route table
-  /// is a flat array indexed by `dst`.
-  void add_route(std::uint32_t dst, std::vector<std::size_t> ports);
+  /// is a flat array indexed by `dst`, and each distinct member list is
+  /// stored once in one shared member array.
+  void add_route(std::uint32_t dst, std::span<const std::size_t> ports);
+  void add_route(std::uint32_t dst, std::initializer_list<std::size_t> ports) {
+    add_route(dst, std::span<const std::size_t>(ports.begin(), ports.size()));
+  }
 
   /// Route, then classify into queue min(dscp, num_queues - 1) of the
   /// egress port (the prototype's DSCP classifier).
@@ -43,14 +49,20 @@ class Switch final : public Node {
   [[nodiscard]] std::uint64_t unrouted() const noexcept { return unrouted_; }
 
  private:
-  std::size_t pick_member(const std::vector<std::size_t>& group,
+  std::size_t pick_member(std::span<const std::size_t> group,
                           const Packet& p) const;
+
+  /// A destination's egress group: members_[offset, offset + count).
+  struct Route {
+    std::uint32_t offset = 0;
+    std::uint32_t count = 0;  ///< 0 = no route
+  };
 
   sim::Simulator& sim_;
   std::string name_;
   std::vector<std::unique_ptr<Port>> ports_;
-  /// Egress group per destination address; empty = no route.
-  std::vector<std::vector<std::size_t>> routes_;
+  std::vector<Route> routes_;  ///< indexed by destination address
+  std::vector<std::size_t> members_;
   std::uint64_t unrouted_ = 0;
 };
 

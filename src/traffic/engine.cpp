@@ -23,9 +23,21 @@ std::uint64_t sample_size(const sim::Ecdf& dist, sim::Rng& rng) {
       1, static_cast<std::uint64_t>(std::llround(dist.sample(rng))));
 }
 
+// File-scope TLS (packet.cpp idiom): every access is in this TU, so no
+// cross-TU thread_local wrapper is ever emitted.
+thread_local FlowUidScope* tls_uid_scope = nullptr;
+
 }  // namespace
 
-TrafficEngine::TrafficEngine(sim::Simulator& sim,
+FlowUidScope::FlowUidScope() noexcept : prev_(tls_uid_scope) {
+  tls_uid_scope = this;
+}
+
+FlowUidScope::~FlowUidScope() { tls_uid_scope = prev_; }
+
+FlowUidScope* FlowUidScope::current() noexcept { return tls_uid_scope; }
+
+TrafficEngine::TrafficEngine(sim::Simulator& sim, transport::FlowSlab& slab,
                              std::vector<net::Host*> hosts, TrafficSpec spec,
                              EngineConfig cfg, workload::SpecFn spec_fn,
                              CompletionCb on_complete)
@@ -35,11 +47,7 @@ TrafficEngine::TrafficEngine(sim::Simulator& sim,
       cfg_(cfg),
       spec_fn_(std::move(spec_fn)),
       on_complete_(std::move(on_complete)),
-      slab_(FlowSlab::current()) {
-  if (slab_ == nullptr) {
-    throw std::logic_error(
-        "TrafficEngine: no FlowSlab::Scope installed for this run");
-  }
+      slab_(slab) {
   if (hosts_.size() < 2 || !spec_fn_) {
     throw std::invalid_argument("TrafficEngine: incomplete setup");
   }
@@ -178,30 +186,20 @@ void TrafficEngine::launch(net::Host& src, net::Host& dst,
                            std::uint32_t service, std::uint64_t size,
                            int dscp_override) {
   transport::FlowSpec spec = spec_fn_(service, size);
+  spec.size = size;
+  spec.service = service;
   if (dscp_override >= 0) {
     const auto dscp = static_cast<std::uint8_t>(dscp_override);
     spec.data_dscp = transport::constant_dscp(dscp);
     spec.ack_dscp = dscp;
   }
 
-  const std::uint64_t reuses_before = slab_->reuses();
-  const std::uint32_t slot = slab_->acquire();
-  if (obs_slab_reuses_ != nullptr && slab_->reuses() != reuses_before) {
+  const std::uint64_t flow_id = next_flow_id();
+  const std::uint64_t reuses_before = slab_.reuses();
+  const std::uint32_t slot = slab_.open(src, dst, spec, flow_id);
+  if (obs_slab_reuses_ != nullptr && slab_.reuses() != reuses_before) {
     obs_slab_reuses_->inc();
   }
-  FlowSlab::Slot& s = slab_->at(slot);
-  s.flow_id = next_flow_id();
-  s.size = size;
-  s.service = service;
-  s.src_addr = src.address();
-  s.dst_addr = dst.address();
-  s.sport = slab_->checkout_port(src);
-  s.dport = slab_->checkout_port(dst);
-  s.sink.emplace(dst, s.dport, spec.ack_dscp, std::move(spec.on_deliver),
-                 transport::TcpSink::Options::from(spec.tcp));
-  s.sender.emplace(src, dst.address(), s.sport, s.dport, s.flow_id, spec.tcp,
-                   std::move(spec.data_dscp), spec.ack_dscp,
-                   [this, slot](sim::Time fct) { on_flow_complete(slot, fct); });
 
   ++arrivals_;
   ++active_;
@@ -211,32 +209,27 @@ void TrafficEngine::launch(net::Host& src, net::Host& dst,
   if (obs_offered_bytes_ != nullptr) obs_offered_bytes_->inc(size);
   if (obs_active_ != nullptr) obs_active_->set(static_cast<double>(active_));
 
-  s.sender->start(size);
+  spec.data_dscp = nullptr;  // the connection default tags the message
+  spec.on_complete = [this, slot](const transport::FlowResult& r) {
+    on_flow_complete(slot, r);
+  };
+  slab_.send(slot, flow_id, std::move(spec));
 }
 
-void TrafficEngine::on_flow_complete(std::uint32_t slot, sim::Time fct) {
-  FlowSlab::Slot& s = slab_->at(slot);
-  transport::FlowResult r;
-  r.flow_id = s.flow_id;
-  r.size = s.size;
-  r.service = s.service;
-  r.start = s.sender->start_time();
-  r.fct = fct;
-  r.timeouts = s.sender->timeouts();
-
+void TrafficEngine::on_flow_complete(std::uint32_t slot,
+                                     const transport::FlowResult& r) {
   ++completed_;
   --active_;
-  achieved_bytes_ += s.size;
+  achieved_bytes_ += r.size;
   if (obs_completed_ != nullptr) obs_completed_->inc();
-  if (obs_achieved_bytes_ != nullptr) obs_achieved_bytes_->inc(s.size);
+  if (obs_achieved_bytes_ != nullptr) obs_achieved_bytes_->inc(r.size);
   if (obs_active_ != nullptr) obs_active_->set(static_cast<double>(active_));
 
   if (on_complete_) on_complete_(r);
 
   // The sender invoking this callback is still executing its ACK path;
   // destroying it here would be use-after-free. Recycle on the next event.
-  FlowSlab* slab = slab_;
-  sim_.schedule_in(0, [slab, slot] { slab->recycle(slot); });
+  sim_.schedule_in(0, [this, slot] { slab_.recycle(slot); });
 }
 
 }  // namespace tcn::traffic

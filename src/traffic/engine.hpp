@@ -10,10 +10,10 @@
 // sim::RunBudget pending-event guard so overload terminates as a classified
 // failure instead of an OOM.
 //
-// Memory discipline: all per-flow transport state lives in the per-run
-// FlowSlab (installed via FlowSlab::Scope), recycled at completion, so a
-// run's heap footprint tracks peak *concurrent* flows while lifetime
-// completions run to tens of millions. Flow ids come from the per-run
+// Memory discipline: all per-flow transport state lives in the run's
+// transport::FlowSlab, recycled at completion, so a run's heap footprint
+// tracks peak *concurrent* flows while lifetime completions run to tens of
+// millions. Flow ids come from the per-run
 // FlowUidScope; all randomness is per-tenant seeded, so sweep results are
 // byte-identical for any worker count.
 #pragma once
@@ -29,13 +29,36 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/arrival.hpp"
-#include "traffic/flow_slab.hpp"
 #include "traffic/spec.hpp"
 #include "traffic/trace_replay.hpp"
 #include "transport/flow.hpp"
 #include "workload/traffic_gen.hpp"
 
 namespace tcn::traffic {
+
+/// Per-run flow-id counter, sibling of net::PacketUidScope. Installed by
+/// run_fct_experiment; the engine draws from the innermost scope so ids are
+/// per-run deterministic regardless of worker-thread interleaving.
+class FlowUidScope {
+ public:
+  // Out of line next to the thread-local they touch (packet.cpp idiom): an
+  // inline ctor in a foreign TU would go through the extern-TLS wrapper,
+  // which GCC's sanitizers resolve to null.
+  FlowUidScope() noexcept;
+  ~FlowUidScope();
+
+  FlowUidScope(const FlowUidScope&) = delete;
+  FlowUidScope& operator=(const FlowUidScope&) = delete;
+
+  std::uint64_t next() noexcept { return ++counter_; }
+  [[nodiscard]] std::uint64_t issued() const noexcept { return counter_; }
+
+  static FlowUidScope* current() noexcept;
+
+ private:
+  std::uint64_t counter_ = 0;
+  FlowUidScope* prev_;  ///< shadowed scope restored on destruction
+};
 
 struct EngineConfig {
   /// Offered load as a fraction of the reference capacity. Unlike the
@@ -52,17 +75,16 @@ struct EngineConfig {
 };
 
 /// Schedules open-loop arrivals against a built topology and recycles flow
-/// state through the current FlowSlab. Must outlive the simulation run.
+/// state through the run's FlowSlab. Must outlive the simulation run.
 class TrafficEngine {
  public:
   using CompletionCb = std::function<void(const transport::FlowResult&)>;
 
-  /// Requires a FlowSlab::Scope to be installed (throws std::logic_error
-  /// otherwise) -- the slab is per-run state owned by the harness, reached
-  /// through the scope like PacketPool. Loads the replay trace eagerly so
-  /// bad traces fail before the run starts.
-  TrafficEngine(sim::Simulator& sim, std::vector<net::Host*> hosts,
-                TrafficSpec spec, EngineConfig cfg, workload::SpecFn spec_fn,
+  /// Flows open in `slab`, which the harness owns for the run. Loads the
+  /// replay trace eagerly so bad traces fail before the run starts.
+  TrafficEngine(sim::Simulator& sim, transport::FlowSlab& slab,
+                std::vector<net::Host*> hosts, TrafficSpec spec,
+                EngineConfig cfg, workload::SpecFn spec_fn,
                 CompletionCb on_complete);
 
   TrafficEngine(const TrafficEngine&) = delete;
@@ -104,7 +126,7 @@ class TrafficEngine {
   void replay_arrival(std::size_t index);
   void launch(net::Host& src, net::Host& dst, std::uint32_t service,
               std::uint64_t size, int dscp_override);
-  void on_flow_complete(std::uint32_t slot, sim::Time fct);
+  void on_flow_complete(std::uint32_t slot, const transport::FlowResult& r);
   std::uint64_t next_flow_id();
 
   sim::Simulator& sim_;
@@ -113,7 +135,7 @@ class TrafficEngine {
   EngineConfig cfg_;
   workload::SpecFn spec_fn_;
   CompletionCb on_complete_;
-  FlowSlab* slab_;
+  transport::FlowSlab& slab_;
   DiurnalSchedule diurnal_;
 
   std::vector<std::unique_ptr<Tenant>> tenants_;

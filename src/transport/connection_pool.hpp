@@ -4,32 +4,28 @@
 // (message) is sent over an idle connection to its source host, or a fresh
 // connection when all are busy. Warm connections keep their congestion state
 // (with restart-after-idle), which is what keeps testbed tail latencies sane
-// compared to cold-starting every flow.
+// compared to cold-starting every flow. Connections are FlowSlab slots that
+// are never recycled between messages.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "net/host.hpp"
 #include "transport/flow.hpp"
-#include "transport/tcp_sender.hpp"
-#include "transport/tcp_sink.hpp"
 
 namespace tcn::transport {
 
 class ConnectionPool {
  public:
-  using CompletionCb = std::function<void(const FlowResult&)>;
-
-  explicit ConnectionPool(CompletionCb on_complete = nullptr)
-      : on_complete_(std::move(on_complete)) {}
+  /// Connections open in `slab`, which must outlive the pool's run.
+  explicit ConnectionPool(FlowSlab& slab) : slab_(slab) {}
 
   /// Send `spec` as a message from `src` to `dst` over an idle persistent
-  /// connection (creating one if all are busy). Returns the message id.
+  /// connection (opening one if all are busy). Returns the message id, which
+  /// the message's FlowResult carries.
   std::uint64_t submit(net::Host& src, net::Host& dst, FlowSpec spec);
 
   [[nodiscard]] std::size_t connections_created() const noexcept {
@@ -38,25 +34,18 @@ class ConnectionPool {
   [[nodiscard]] std::size_t messages_submitted() const noexcept {
     return next_msg_id_ - 1;
   }
-  [[nodiscard]] const std::vector<FlowResult>& results() const noexcept {
-    return results_;
-  }
 
  private:
-  struct Connection {
-    std::unique_ptr<TcpSink> sink;
-    std::unique_ptr<TcpSender> sender;
-  };
   using PairKey = std::pair<std::uint32_t, std::uint32_t>;  // (src, dst)
 
-  Connection& idle_connection(net::Host& src, net::Host& dst,
-                              const FlowSpec& spec);
+  std::uint32_t idle_connection(net::Host& src, net::Host& dst,
+                                const FlowSpec& spec);
 
-  CompletionCb on_complete_;
-  std::map<PairKey, std::vector<std::unique_ptr<Connection>>> conns_;
+  FlowSlab& slab_;
+  /// Slot indices per (src, dst), in creation order.
+  std::map<PairKey, std::vector<std::uint32_t>> conns_;
   std::uint64_t next_msg_id_ = 1;
   std::size_t connections_created_ = 0;
-  std::vector<FlowResult> results_;
 };
 
 }  // namespace tcn::transport

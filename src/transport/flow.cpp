@@ -4,54 +4,86 @@
 
 namespace tcn::transport {
 
-std::uint64_t FlowManager::start_flow(net::Host& src, net::Host& dst,
-                                      FlowSpec spec) {
-  const std::uint64_t id = next_flow_id_++;
-  const std::uint16_t sport = src.allocate_port();
-  const std::uint16_t dport = dst.allocate_port();
-
-  auto entry = std::make_unique<Entry>();
-  entry->sink = std::make_unique<TcpSink>(dst, dport, spec.ack_dscp,
-                                          std::move(spec.on_deliver),
-                                          TcpSink::Options::from(spec.tcp));
-
-  const std::uint64_t size = spec.size;
-  const std::uint32_t service = spec.service;
-  entry->sender = std::make_unique<TcpSender>(
-      src, dst.address(), sport, dport, id, spec.tcp,
-      std::move(spec.data_dscp), spec.ack_dscp,
-      [this, id, size, service,
-       flow_cb = std::move(spec.on_complete)](sim::Time fct) {
-        const Entry& e = *flows_[id - 1];
-        FlowResult r;
-        r.flow_id = id;
-        r.size = size;
-        r.service = service;
-        r.start = e.sender->start_time();
-        r.fct = fct;
-        r.timeouts = e.sender->timeouts();
-        results_.push_back(r);
-        if (on_complete_) on_complete_(r);
-        if (flow_cb) flow_cb(r);
-      });
-
-  flows_.push_back(std::move(entry));
-  ++flows_started_;
-  flows_.back()->sender->start(size);
-  return id;
-}
-
-std::uint64_t FlowManager::total_timeouts() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& e : flows_) {
-    if (e->sender) n += e->sender->timeouts();
+std::uint32_t FlowSlab::open(net::Host& src, net::Host& dst,
+                             const FlowSpec& spec, std::uint64_t flow_id) {
+  std::uint32_t index;
+  if (!free_.empty()) {
+    index = free_.back();
+    free_.pop_back();
+    ++reused_;
+  } else {
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+    ++fresh_;
   }
-  return n;
+  Slot& s = slots_[index];
+  s.slab_free = false;
+  s.src_addr = src.address();
+  s.dst_addr = dst.address();
+  s.sport = checkout_port(src);
+  s.dport = checkout_port(dst);
+  s.sink.emplace(dst, s.dport, spec.ack_dscp, spec.on_deliver,
+                 SinkOptions::from(spec.tcp));
+  s.sender.emplace(src, dst.address(), s.sport, s.dport, flow_id, spec.tcp,
+                   spec.data_dscp, spec.ack_dscp);
+  return index;
 }
 
-TcpSender* FlowManager::sender(std::uint64_t flow_id) {
-  if (flow_id == 0 || flow_id > flows_.size()) return nullptr;
-  return flows_[flow_id - 1]->sender.get();
+void FlowSlab::send(std::uint32_t index, std::uint64_t id, FlowSpec spec) {
+  TcpSender& sender = *slots_[index].sender;
+  TcpSender::MessageSpec msg;
+  msg.size = spec.size;
+  msg.dscp = std::move(spec.data_dscp);
+  if (spec.on_complete) {
+    msg.on_complete = [id, size = spec.size, service = spec.service,
+                       start = sender.simulator().now(),
+                       done = std::move(spec.on_complete)](
+                          sim::Time fct, std::uint32_t timeouts) {
+      done(FlowResult{id, size, service, start, fct, timeouts});
+    };
+  }
+  sender.enqueue_message(std::move(msg));
+}
+
+std::uint32_t FlowSlab::launch(net::Host& src, net::Host& dst,
+                               FlowSpec spec) {
+  const std::uint64_t flow_id = ++launched_;
+  const std::uint32_t index = open(src, dst, spec, flow_id);
+  spec.data_dscp = nullptr;  // the connection default tags the message
+  send(index, flow_id, std::move(spec));
+  return index;
+}
+
+void FlowSlab::recycle(std::uint32_t index) {
+  Slot& s = slots_[index];
+  if (s.slab_free) {
+    ++double_recycled_;
+    return;
+  }
+  // Destroy transport state first: the sender cancels its retransmission
+  // timer and both endpoints unbind their ports, so the ports are reusable
+  // the moment they enter the free lists below.
+  s.sender.reset();
+  s.sink.reset();
+  ports_[s.src_addr].push_back(s.sport);
+  ports_[s.dst_addr].push_back(s.dport);
+  s.src_addr = 0;
+  s.dst_addr = 0;
+  s.sport = 0;
+  s.dport = 0;
+  s.slab_free = true;
+  ++recycled_;
+  free_.push_back(index);
+}
+
+std::uint16_t FlowSlab::checkout_port(net::Host& host) {
+  auto it = ports_.find(host.address());
+  if (it != ports_.end() && !it->second.empty()) {
+    const std::uint16_t port = it->second.back();
+    it->second.pop_back();
+    return port;
+  }
+  return host.allocate_port();
 }
 
 }  // namespace tcn::transport

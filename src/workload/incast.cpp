@@ -63,10 +63,8 @@ void IncastGenerator::issue_query() {
         if (on_query_done_) on_query_done_(q->result);
       }
     };
-    // The launcher reports completions through the FlowSpec's owner
-    // (FlowManager / ConnectionPool callbacks); we piggyback by spawning a
-    // dedicated FlowManager-compatible spec: completion routing is the
-    // launcher's job, so we pass the hook via spec metadata.
+    // FlowSpec::on_complete is the flow's one completion hook, whichever
+    // launcher (cold FlowSlab flow or pooled message) carries it.
     spec.on_complete = wrapped;
     launch_(*servers_[idx[k]], *client_, std::move(spec));
   }

@@ -24,7 +24,7 @@
 namespace tcn::workload {
 
 /// Starts a flow/message from src to dst -- bind this to
-/// FlowManager::start_flow (one connection per flow, the ns-2 model) or
+/// FlowSlab::launch (one connection per flow, the ns-2 model) or
 /// ConnectionPool::submit (persistent connections, the testbed model).
 using FlowLauncher =
     std::function<void(net::Host& src, net::Host& dst, transport::FlowSpec)>;

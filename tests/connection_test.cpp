@@ -1,9 +1,11 @@
 // Tests for persistent connections: multi-message streams on one TcpSender,
 // per-message DSCP/PIAS tagging, FCT semantics with queueing, window restart
-// after idle, and the ConnectionPool's idle-else-new policy.
+// after idle, and the ConnectionPool's idle-else-new policy over FlowSlab
+// slots.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "net/fifo_scheduler.hpp"
@@ -52,7 +54,7 @@ struct Rig {
     const auto dport = b->allocate_port();
     sink = std::make_unique<TcpSink>(*b, dport, 0);
     return std::make_unique<TcpSender>(*a, 2, sport, dport, 1, cfg,
-                                       nullptr, 0, nullptr);
+                                       nullptr, 0);
   }
 
   sim::Simulator sim;
@@ -169,33 +171,40 @@ TEST(MessageStream, RejectsZeroSize) {
   EXPECT_THROW(sender->enqueue_message({}), std::invalid_argument);
 }
 
+/// A `size`-byte flow or message whose FlowResult is appended to `results`.
+FlowSpec recorded(std::uint64_t size, std::vector<FlowResult>& results) {
+  FlowSpec spec;
+  spec.size = size;
+  spec.on_complete = [&results](const FlowResult& r) { results.push_back(r); };
+  return spec;
+}
+
 TEST(ConnectionPool, ReusesIdleConnection) {
   Rig rig;
-  ConnectionPool pool;
-  FlowSpec spec;
-  spec.size = 10'000;
-  pool.submit(*rig.a, *rig.b, spec);
+  FlowSlab slab;
+  ConnectionPool pool(slab);
+  std::vector<FlowResult> results;
+  pool.submit(*rig.a, *rig.b, recorded(10'000, results));
   rig.sim.run();  // message completes; connection now idle
-  pool.submit(*rig.a, *rig.b, spec);
+  pool.submit(*rig.a, *rig.b, recorded(10'000, results));
   rig.sim.run();
   EXPECT_EQ(pool.connections_created(), 1u);
-  EXPECT_EQ(pool.results().size(), 2u);
+  EXPECT_EQ(results.size(), 2u);
 }
 
 TEST(ConnectionPool, OpensNewConnectionWhenBusy) {
   Rig rig;
-  ConnectionPool pool;
-  FlowSpec big;
-  big.size = 5'000'000;
-  FlowSpec small;
-  small.size = 10'000;
-  pool.submit(*rig.a, *rig.b, big);
-  pool.submit(*rig.a, *rig.b, small);  // first is busy: new connection
+  FlowSlab slab;
+  ConnectionPool pool(slab);
+  std::vector<FlowResult> results;
+  pool.submit(*rig.a, *rig.b, recorded(5'000'000, results));
+  // First is busy: new connection.
+  pool.submit(*rig.a, *rig.b, recorded(10'000, results));
   rig.sim.run();
   EXPECT_EQ(pool.connections_created(), 2u);
   // The small message did not wait behind the big one.
-  ASSERT_EQ(pool.results().size(), 2u);
-  const auto& first_done = pool.results()[0];
+  ASSERT_EQ(results.size(), 2u);
+  const auto& first_done = results[0];
   EXPECT_EQ(first_done.size, 10'000u);
   EXPECT_LT(first_done.fct, 5 * sim::kMillisecond);
 }
@@ -223,22 +232,22 @@ TEST(ConnectionPool, SeparatePoolsPerHostPair) {
   sw.add_route(2, {1});
   sw.add_route(3, {2});
 
-  ConnectionPool pool;
-  FlowSpec spec;
-  spec.size = 5'000;
-  pool.submit(a, c, spec);
-  pool.submit(b, c, spec);
+  FlowSlab slab;
+  ConnectionPool pool(slab);
+  std::vector<FlowResult> results;
+  pool.submit(a, c, recorded(5'000, results));
+  pool.submit(b, c, recorded(5'000, results));
   sim.run();
   EXPECT_EQ(pool.connections_created(), 2u);
-  EXPECT_EQ(pool.results().size(), 2u);
+  EXPECT_EQ(results.size(), 2u);
 }
 
 TEST(ConnectionPool, CompletionCallbackCarriesMetadata) {
   Rig rig;
+  FlowSlab slab;
+  ConnectionPool pool(slab);
   std::vector<FlowResult> seen;
-  ConnectionPool pool([&](const FlowResult& r) { seen.push_back(r); });
-  FlowSpec spec;
-  spec.size = 42'000;
+  FlowSpec spec = recorded(42'000, seen);
   spec.service = 3;
   pool.submit(*rig.a, *rig.b, spec);
   rig.sim.run();
@@ -247,6 +256,71 @@ TEST(ConnectionPool, CompletionCallbackCarriesMetadata) {
   EXPECT_EQ(seen[0].service, 3u);
   EXPECT_GT(seen[0].fct, 0);
   EXPECT_EQ(seen[0].timeouts, 0u);
+}
+
+// Closed-loop identity: cold flows are numbered 1..n and their slots (and
+// with them the port numbers, which feed the ECMP hash) are never recycled;
+// persistent connections are numbered 0x10000000 + k and keep their slot.
+
+TEST(ClosedLoopIdentity, ColdFlowsNumberedAndNeverReusePorts) {
+  Rig rig;
+  FlowSlab slab;
+  std::vector<FlowResult> results;
+  std::set<std::uint16_t> sports, dports;
+  std::set<std::uint32_t> slots;
+  constexpr int kFlows = 20;
+  for (int i = 0; i < kFlows; ++i) {
+    // Each flow finishes before the next starts, so a recycled slot (and
+    // its ports) would be handed straight back.
+    const std::uint32_t slot =
+        slab.launch(*rig.a, *rig.b, recorded(3'000, results));
+    slots.insert(slot);
+    sports.insert(slab.at(slot).sport);
+    dports.insert(slab.at(slot).dport);
+    rig.sim.run();
+  }
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(kFlows));
+  for (int i = 0; i < kFlows; ++i) {
+    EXPECT_EQ(results[i].flow_id, static_cast<std::uint64_t>(i + 1));
+  }
+  EXPECT_EQ(slots.size(), static_cast<std::size_t>(kFlows));
+  EXPECT_EQ(sports.size(), static_cast<std::size_t>(kFlows));
+  EXPECT_EQ(dports.size(), static_cast<std::size_t>(kFlows));
+  EXPECT_EQ(slab.recycles(), 0u);
+  for (const std::uint32_t slot : slots) {
+    ASSERT_TRUE(slab.at(slot).sender.has_value());
+    EXPECT_EQ(slab.at(slot).sender->flow_id(), slot + 1u);
+  }
+}
+
+TEST(ClosedLoopIdentity, PersistentConnectionsNumberedAndKeepTheirSlot) {
+  Rig rig;
+  FlowSlab slab;
+  ConnectionPool pool(slab);
+  std::vector<FlowResult> results;
+  pool.submit(*rig.a, *rig.b, recorded(2'000'000, results));
+  pool.submit(*rig.a, *rig.b, recorded(10'000, results));  // second conn
+  ASSERT_EQ(slab.slots(), 2u);
+  const std::uint16_t sport0 = slab.at(0).sport;
+  const std::uint16_t sport1 = slab.at(1).sport;
+  rig.sim.run();
+  for (int i = 0; i < 3; ++i) {  // idle again: every message reuses conn 0
+    pool.submit(*rig.a, *rig.b, recorded(10'000, results));
+    rig.sim.run();
+  }
+  EXPECT_EQ(pool.connections_created(), 2u);
+  EXPECT_EQ(slab.slots(), 2u);
+  EXPECT_EQ(slab.recycles(), 0u);
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    ASSERT_TRUE(slab.at(k).sender.has_value());
+    EXPECT_EQ(slab.at(k).sender->flow_id(), 0x10000000ULL + k);
+  }
+  EXPECT_EQ(slab.at(0).sport, sport0);
+  EXPECT_EQ(slab.at(1).sport, sport1);
+  // Messages carry their own ids, 1..n in submit order.
+  std::set<std::uint64_t> ids;
+  for (const FlowResult& r : results) ids.insert(r.flow_id);
+  EXPECT_EQ(ids, (std::set<std::uint64_t>{1, 2, 3, 4, 5}));
 }
 
 }  // namespace

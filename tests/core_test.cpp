@@ -8,9 +8,12 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 
 #include "core/experiment.hpp"
 #include "core/schemes.hpp"
+#include "flow_recorder.hpp"
+#include "net/trace.hpp"
 #include "stats/timeseries.hpp"
 #include "topo/network.hpp"
 #include "transport/flow.hpp"
@@ -136,7 +139,7 @@ struct FairnessRig {
         spec.on_deliver = [meter](std::uint32_t b, sim::Time t) {
           meter->record(b, t);
         };
-        fm.start_flow(net->host(host), net->host(0), spec);
+        flows.launch(net->host(host), net->host(0), spec);
       }
     };
     start(1, 0, flows_q0);
@@ -153,7 +156,7 @@ struct FairnessRig {
 
   sim::Simulator simulator;
   std::optional<topo::Network> net;
-  transport::FlowManager fm;
+  transport::FlowRecorder flows;
   std::vector<std::unique_ptr<stats::GoodputMeter>> meters;
 };
 
@@ -219,6 +222,49 @@ TEST(Harness, RunsSmallExperimentEndToEnd) {
   EXPECT_EQ(report.flows_completed, 60u);
   EXPECT_GT(report.summary.avg_all_us, 0.0);
   EXPECT_GT(report.events, 1000u);
+}
+
+/// Flow ids of every packet (data and ACK) entering a host NIC.
+struct NicFlowIds final : net::PortObserver {
+  std::set<std::uint64_t> ids;
+  void on_event(const net::TraceRecord& rec) override {
+    if (rec.event == net::TraceEvent::kEnqueue && rec.port.ends_with(".nic")) {
+      ids.insert(rec.flow);
+    }
+  }
+};
+
+TEST(Harness, ClosedLoopFlowIdsAreStable) {
+  FctExperiment cfg;
+  cfg.scheme = Scheme::kTcn;
+  cfg.params.rtt_lambda = 250 * sim::kMicrosecond;
+  cfg.sched.kind = SchedKind::kDwrr;
+  cfg.load = 0.6;
+  cfg.num_flows = 60;
+  cfg.num_services = 4;
+  cfg.service_workloads = {workload::Kind::kCache};
+  cfg.star.num_hosts = 5;
+  cfg.star.host_delay = topo::star_host_delay_for_rtt(
+      250 * sim::kMicrosecond, cfg.star.link_prop);
+
+  // Cold flows: ids 1..n, one per flow.
+  NicFlowIds cold;
+  cfg.persistent_connections = false;
+  cfg.extra_observer = &cold;
+  ASSERT_EQ(run_fct_experiment(cfg).flows_completed, 60u);
+  std::set<std::uint64_t> expected;
+  for (std::uint64_t id = 1; id <= 60; ++id) expected.insert(id);
+  EXPECT_EQ(cold.ids, expected);
+
+  // Persistent connections: ids 0x10000000 + k for k = 0, 1, 2, ...
+  NicFlowIds warm;
+  cfg.persistent_connections = true;
+  cfg.extra_observer = &warm;
+  ASSERT_EQ(run_fct_experiment(cfg).flows_completed, 60u);
+  ASSERT_FALSE(warm.ids.empty());
+  EXPECT_LT(warm.ids.size(), 60u);  // connections are reused
+  std::uint64_t k = 0;
+  for (const std::uint64_t id : warm.ids) EXPECT_EQ(id, 0x10000000ULL + k++);
 }
 
 TEST(Harness, DeterministicForSameSeed) {

@@ -13,6 +13,7 @@
 
 #include "core/experiment.hpp"
 #include "fault/fault.hpp"
+#include "flow_recorder.hpp"
 #include "net/fifo_scheduler.hpp"
 #include "net/host.hpp"
 #include "net/invariant.hpp"
@@ -664,12 +665,12 @@ TEST(EcmpSteering, LeafSpineFlowCompletesAroundDeadUplink) {
   ASSERT_EQ(ports.size(), 1u);
   injector.schedule_link_down(*ports[0], 0, 0);
 
-  transport::FlowManager fm;
+  transport::FlowRecorder flows;
   transport::FlowSpec spec;
   spec.size = 500'000;
-  fm.start_flow(network.host(0), network.host(1), spec);
+  flows.launch(network.host(0), network.host(1), spec);
   sim.run();
-  ASSERT_EQ(fm.flows_completed(), 1u);
+  ASSERT_EQ(flows.results.size(), 1u);
   net::Switch& leaf0 = network.switch_at(0);
   EXPECT_EQ(leaf0.port(1).counters().enq_packets, 0u);  // steered away
   EXPECT_EQ(leaf0.port(1).counters().fault_drops, 0u);
@@ -705,7 +706,7 @@ struct TwoHostRig {
   sim::Simulator sim;
   net::Switch sw;
   std::unique_ptr<net::Host> a, b;
-  transport::FlowManager fm;
+  transport::FlowRecorder flows;
 };
 
 TEST(TcpFaults, CompletesUnderSustainedRandomLoss) {
@@ -715,10 +716,10 @@ TEST(TcpFaults, CompletesUnderSustainedRandomLoss) {
 
   transport::FlowSpec spec;
   spec.size = 300'000;
-  rig.fm.start_flow(*rig.a, *rig.b, spec);
+  rig.flows.launch(*rig.a, *rig.b, spec);
   rig.sim.run();
-  ASSERT_EQ(rig.fm.flows_completed(), 1u);
-  EXPECT_EQ(rig.fm.results()[0].size, 300'000u);
+  ASSERT_EQ(rig.flows.results.size(), 1u);
+  EXPECT_EQ(rig.flows.results[0].size, 300'000u);
   EXPECT_GT(rig.sw.port(1).counters().fault_drops, 0u);
 }
 
@@ -733,10 +734,10 @@ TEST(TcpFaults, SurvivesBlackholeWindowWithTimeouts) {
   spec.size = 2'000'000;
   spec.tcp.rto_min = 10 * sim::kMillisecond;
   spec.tcp.rto_init = 10 * sim::kMillisecond;
-  rig.fm.start_flow(*rig.a, *rig.b, spec);
+  rig.flows.launch(*rig.a, *rig.b, spec);
   rig.sim.run();
-  ASSERT_EQ(rig.fm.flows_completed(), 1u);
-  EXPECT_GE(rig.fm.results()[0].timeouts, 1u);
+  ASSERT_EQ(rig.flows.results.size(), 1u);
+  EXPECT_GE(rig.flows.results[0].timeouts, 1u);
   // Recovery must come promptly after the link heals: the capped backoff
   // keeps probing, so completion lands well before a runaway exponential
   // would retry (10ms << 6 = 640ms after the 45ms heal point).
@@ -755,10 +756,10 @@ TEST(TcpFaults, BackoffCapKeepsSenderProbing) {
     spec.tcp.rto_min = sim::kMillisecond;
     spec.tcp.rto_init = sim::kMillisecond;
     spec.tcp.max_rto_backoff = cap;
-    rig.fm.start_flow(*rig.a, *rig.b, spec);
+    rig.flows.launch(*rig.a, *rig.b, spec);
     rig.sim.run();
-    EXPECT_EQ(rig.fm.flows_completed(), 1u);
-    return rig.fm.results()[0].timeouts;
+    EXPECT_EQ(rig.flows.results.size(), 1u);
+    return rig.flows.results[0].timeouts;
   };
   const auto tight = run_with_cap(2);   // RTO plateaus at 4ms
   const auto loose = run_with_cap(10);  // RTO grows to ~1s

@@ -18,8 +18,7 @@
 
 #include "net/host.hpp"
 #include "sim/simulator.hpp"
-#include "traffic/flow_slab.hpp"
-#include "transport/tcp.hpp"
+#include "transport/flow.hpp"
 
 namespace {
 
@@ -61,10 +60,25 @@ std::int64_t live_allocs() {
 
 // ------------------------------------------------------------ slab basics ----
 
-TEST(FlowSlab, AcquireRecycleReuseCounters) {
-  traffic::FlowSlab slab;
-  const auto a = slab.acquire();
-  const auto b = slab.acquire();
+/// Two unconnected hosts: enough to open connections (nothing is sent).
+struct Hosts {
+  sim::Simulator s;
+  net::PortConfig nic;
+  net::Host src{s, "h0", 1, nic};
+  net::Host dst{s, "h1", 2, nic};
+  transport::FlowSpec spec;
+  std::uint64_t flow_id = 0;
+
+  std::uint32_t open(transport::FlowSlab& slab) {
+    return slab.open(src, dst, spec, ++flow_id);
+  }
+};
+
+TEST(FlowSlab, OpenRecycleReuseCounters) {
+  Hosts h;
+  transport::FlowSlab slab;
+  const auto a = h.open(slab);
+  const auto b = h.open(slab);
   EXPECT_NE(a, b);
   EXPECT_EQ(slab.fresh_allocs(), 2u);
   EXPECT_EQ(slab.live(), 2u);
@@ -76,7 +90,7 @@ TEST(FlowSlab, AcquireRecycleReuseCounters) {
   EXPECT_EQ(slab.free_size(), 1u);
 
   // The recycled slot comes back (LIFO) before any fresh growth.
-  const auto c = slab.acquire();
+  const auto c = h.open(slab);
   EXPECT_EQ(c, a);
   EXPECT_EQ(slab.reuses(), 1u);
   EXPECT_EQ(slab.fresh_allocs(), 2u);
@@ -84,53 +98,45 @@ TEST(FlowSlab, AcquireRecycleReuseCounters) {
 }
 
 TEST(FlowSlab, LifoReuseOrder) {
-  traffic::FlowSlab slab;
-  const auto a = slab.acquire();
-  const auto b = slab.acquire();
+  Hosts h;
+  transport::FlowSlab slab;
+  const auto a = h.open(slab);
+  const auto b = h.open(slab);
   slab.recycle(a);
   slab.recycle(b);
   // Most recently recycled first: cache-warm reuse order.
-  EXPECT_EQ(slab.acquire(), b);
-  EXPECT_EQ(slab.acquire(), a);
+  EXPECT_EQ(h.open(slab), b);
+  EXPECT_EQ(h.open(slab), a);
 }
 
-TEST(FlowSlab, RecycleClearsSlotState) {
-  sim::Simulator s;
-  net::PortConfig nic;
-  net::Host src(s, "h0", 1, nic);
-  net::Host dst(s, "h1", 2, nic);
-  traffic::FlowSlab slab;
-  transport::TcpConfig tcp;
+TEST(FlowSlab, OpenBuildsEndpointsAndRecycleClearsThem) {
+  Hosts h;
+  transport::FlowSlab slab;
+  const auto idx = slab.open(h.src, h.dst, h.spec, 42);
+  const auto& slot = slab.at(idx);
+  ASSERT_TRUE(slot.sender.has_value());
+  ASSERT_TRUE(slot.sink.has_value());
+  EXPECT_EQ(slot.sender->flow_id(), 42u);
+  EXPECT_EQ(slot.src_addr, h.src.address());
+  EXPECT_EQ(slot.dst_addr, h.dst.address());
+  EXPECT_NE(slot.sport, 0u);
+  EXPECT_NE(slot.dport, 0u);
 
-  const auto idx = slab.acquire();
-  auto& slot = slab.at(idx);
-  slot.flow_id = 42;
-  slot.size = 1000;
-  slot.service = 3;
-  slot.src_addr = src.address();
-  slot.dst_addr = dst.address();
-  slot.sport = slab.checkout_port(src);
-  slot.dport = slab.checkout_port(dst);
-  slot.sink.emplace(dst, slot.dport, 0);
-  slot.sender.emplace(src, dst.address(), slot.sport, slot.dport, 42, tcp,
-                      transport::constant_dscp(0), 0, nullptr);
   slab.recycle(idx);
-
-  const auto again = slab.acquire();
-  ASSERT_EQ(again, idx);
-  const auto& clean = slab.at(again);
+  const auto& clean = slab.at(idx);
   EXPECT_FALSE(clean.sender.has_value());
   EXPECT_FALSE(clean.sink.has_value());
-  EXPECT_EQ(clean.flow_id, 0u);
-  EXPECT_EQ(clean.size, 0u);
-  EXPECT_EQ(clean.service, 0u);
+  EXPECT_EQ(clean.src_addr, 0u);
+  EXPECT_EQ(clean.dst_addr, 0u);
   EXPECT_EQ(clean.sport, 0u);
   EXPECT_EQ(clean.dport, 0u);
+  EXPECT_TRUE(clean.slab_free);
 }
 
 TEST(FlowSlab, DoubleRecycleIsDetectedAndDropped) {
-  traffic::FlowSlab slab;
-  const auto a = slab.acquire();
+  Hosts h;
+  transport::FlowSlab slab;
+  const auto a = h.open(slab);
   slab.recycle(a);
   ASSERT_EQ(slab.free_size(), 1u);
   // Misuse: recycling a slot already on the free list must not
@@ -139,85 +145,53 @@ TEST(FlowSlab, DoubleRecycleIsDetectedAndDropped) {
   EXPECT_EQ(slab.double_recycles(), 1u);
   EXPECT_EQ(slab.recycles(), 1u);
   EXPECT_EQ(slab.free_size(), 1u);
-  EXPECT_EQ(slab.acquire(), a);  // still functional
+  EXPECT_EQ(h.open(slab), a);  // still functional
 }
 
 TEST(FlowSlab, PortsRecycleThroughPerHostFreeLists) {
-  sim::Simulator s;
-  net::PortConfig nic;
-  net::Host h(s, "h0", 1, nic);
-  traffic::FlowSlab slab;
-
-  const auto idx = slab.acquire();
-  auto& slot = slab.at(idx);
-  slot.src_addr = h.address();
-  const std::uint16_t port = slab.checkout_port(h);
-  slot.sport = port;
+  Hosts h;
+  net::Host other(h.s, "h2", 3, h.nic);  // outlives the slab's endpoints
+  transport::FlowSlab slab;
+  const auto idx = h.open(slab);
+  const std::uint16_t sport = slab.at(idx).sport;
+  const std::uint16_t dport = slab.at(idx).dport;
   slab.recycle(idx);
 
-  // The same port number comes back instead of bumping the host's counter,
-  // so a host's port footprint is bounded by peak concurrency -- not by the
-  // lifetime flow count (Host::allocate_port runs out at 64k).
-  EXPECT_EQ(slab.checkout_port(h), port);
-  // A different host draws from its own pool.
-  net::Host other(s, "h1", 2, nic);
-  EXPECT_NE(slab.checkout_port(other), 0u);
-}
-
-TEST(FlowSlab, ScopesNestAndRestore) {
-  EXPECT_EQ(traffic::FlowSlab::current(), nullptr);
-  traffic::FlowSlab outer;
-  traffic::FlowSlab::Scope outer_scope(outer);
-  EXPECT_EQ(traffic::FlowSlab::current(), &outer);
-  {
-    traffic::FlowSlab inner;
-    traffic::FlowSlab::Scope inner_scope(inner);
-    EXPECT_EQ(traffic::FlowSlab::current(), &inner);
-  }
-  EXPECT_EQ(traffic::FlowSlab::current(), &outer);
+  // The same port numbers come back instead of bumping the hosts'
+  // counters, so a host's port footprint is bounded by peak concurrency --
+  // not by the lifetime flow count (Host::allocate_port runs out at 64k).
+  const auto again = h.open(slab);
+  EXPECT_EQ(slab.at(again).sport, sport);
+  EXPECT_EQ(slab.at(again).dport, dport);
+  // A different host draws from its own pool; the busy receiver port is
+  // not handed out twice.
+  const auto third = slab.open(other, h.dst, h.spec, 99);
+  EXPECT_NE(slab.at(third).sport, 0u);
+  EXPECT_NE(slab.at(third).dport, dport);
 }
 
 // ------------------------------------------------- bounded-heap-growth proof ----
 
 TEST(FlowSlab, SteadyStateChurnKeepsLiveHeapFlat) {
   // The open-loop acceptance claim, asserted on the allocator itself: churn
-  // whole flows (TcpSink + TcpSender constructed into slab slots, then
+  // whole flows (TcpSink + TcpSender opened into slab slots, then
   // recycled) and after warmup the number of live heap allocations is
   // *identical* at every batch boundary. Gross allocation traffic per flow
   // is nonzero by design -- the TCP objects own real state -- but all of it
   // returns at recycle, so lifetime flow count never accumulates in the
   // heap. This is the counting-allocator equivalent of "10M flows in
   // bounded memory".
-  sim::Simulator s;
-  net::PortConfig nic;
-  net::Host src(s, "h0", 1, nic);
-  net::Host dst(s, "h1", 2, nic);
-  traffic::FlowSlab slab;
-  traffic::FlowSlab::Scope scope(slab);
-  transport::TcpConfig tcp;
+  Hosts h;
+  h.spec.data_dscp = transport::constant_dscp(0);
+  transport::FlowSlab slab;
 
   constexpr int kInFlight = 16;
   constexpr int kBatches = 8;
   std::vector<std::uint32_t> held;
   held.reserve(kInFlight);
 
-  std::uint64_t flow_id = 0;
   auto churn_batch = [&] {
-    for (int j = 0; j < kInFlight; ++j) {
-      const auto idx = slab.acquire();
-      auto& slot = slab.at(idx);
-      slot.flow_id = ++flow_id;
-      slot.size = 10'000;
-      slot.src_addr = src.address();
-      slot.dst_addr = dst.address();
-      slot.sport = slab.checkout_port(src);
-      slot.dport = slab.checkout_port(dst);
-      slot.sink.emplace(dst, slot.dport, 0);
-      slot.sender.emplace(src, dst.address(), slot.sport, slot.dport,
-                          slot.flow_id, tcp, transport::constant_dscp(0), 0,
-                          nullptr);
-      held.push_back(idx);
-    }
+    for (int j = 0; j < kInFlight; ++j) held.push_back(h.open(slab));
     for (const auto idx : held) slab.recycle(idx);
     held.clear();
   };

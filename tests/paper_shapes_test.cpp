@@ -11,6 +11,7 @@
 #include <optional>
 
 #include "core/experiment.hpp"
+#include "flow_recorder.hpp"
 #include "rate_trace.hpp"
 #include "stats/percentile.hpp"
 #include "stats/timeseries.hpp"
@@ -68,13 +69,13 @@ double occupancy_peak_kb(core::Scheme scheme) {
   auto network =
       topo::build_star(simulator, star, core::make_scheduler_factory(sched),
                        core::make_marker_factory(scheme, params));
-  transport::FlowManager fm;
+  transport::FlowRecorder flows;
   for (std::size_t h = 1; h <= 8; ++h) {
     transport::FlowSpec spec;
     spec.size = 2'000'000'000ULL;
     spec.tcp.cc = transport::CongestionControl::kEcnStar;
     spec.tcp.init_cwnd_pkts = 16;
-    fm.start_flow(network.host(h), network.host(0), spec);
+    flows.launch(network.host(h), network.host(0), spec);
   }
   stats::PeriodicSampler sampler(simulator, 10 * sim::kMicrosecond, [&] {
     return static_cast<double>(network.switch_at(0).port(0).total_bytes());
@@ -118,7 +119,7 @@ TEST(PaperShapes, Fig5b_TcnRttFarBelowStandardRed) {
     auto network = topo::build_star(simulator, star,
                                     core::make_scheduler_factory(sched),
                                     core::make_marker_factory(scheme, params));
-    transport::FlowManager fm;
+    transport::FlowRecorder flows;
     auto start = [&](std::size_t host, std::uint8_t q, int n) {
       for (int i = 0; i < n; ++i) {
         transport::FlowSpec spec;
@@ -127,7 +128,7 @@ TEST(PaperShapes, Fig5b_TcnRttFarBelowStandardRed) {
         spec.data_dscp = transport::constant_dscp(q);
         spec.ack_dscp = q;
         spec.tcp.max_cwnd_bytes = 64'000;
-        fm.start_flow(network.host(host), network.host(0), spec);
+        flows.launch(network.host(host), network.host(0), spec);
       }
     };
     start(1, 0, 1);

@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "flow_recorder.hpp"
 #include "net/fifo_scheduler.hpp"
 #include "net/host.hpp"
 #include "net/marker.hpp"
@@ -49,7 +50,7 @@ struct Rig {
   sim::Simulator sim;
   net::Switch sw;
   std::unique_ptr<net::Host> a, b;
-  FlowManager fm;
+  FlowRecorder flows;
 };
 
 TcpConfig lossy_cfg(bool sack) {
@@ -67,11 +68,11 @@ TEST(Sack, RecoversMultiLossWindowFasterThanNewReno) {
     FlowSpec spec;
     spec.size = 400'000;
     spec.tcp = lossy_cfg(sack);
-    rig.fm.start_flow(*rig.a, *rig.b, spec);
+    rig.flows.launch(*rig.a, *rig.b, spec);
     rig.sim.run(5 * sim::kSecond);
-    EXPECT_EQ(rig.fm.flows_completed(), 1u) << "sack=" << sack;
-    return rig.fm.results().empty() ? sim::Time{0}
-                                    : rig.fm.results()[0].fct;
+    EXPECT_EQ(rig.flows.results.size(), 1u) << "sack=" << sack;
+    return rig.flows.results.empty() ? sim::Time{0}
+                                     : rig.flows.results[0].fct;
   };
   const auto newreno = run(false);
   const auto sack = run(true);
@@ -86,10 +87,10 @@ TEST(Sack, NoRtoOnMultiLossWindow) {
   FlowSpec spec;
   spec.size = 400'000;
   spec.tcp = lossy_cfg(true);
-  rig.fm.start_flow(*rig.a, *rig.b, spec);
+  rig.flows.launch(*rig.a, *rig.b, spec);
   rig.sim.run(5 * sim::kSecond);
-  ASSERT_EQ(rig.fm.flows_completed(), 1u);
-  EXPECT_EQ(rig.fm.results()[0].timeouts, 0u);
+  ASSERT_EQ(rig.flows.results.size(), 1u);
+  EXPECT_EQ(rig.flows.results[0].timeouts, 0u);
 }
 
 TEST(Sack, CleanPathBehavesIdentically) {
@@ -98,9 +99,9 @@ TEST(Sack, CleanPathBehavesIdentically) {
     FlowSpec spec;
     spec.size = 1'000'000;
     spec.tcp.sack = sack;
-    rig.fm.start_flow(*rig.a, *rig.b, spec);
+    rig.flows.launch(*rig.a, *rig.b, spec);
     rig.sim.run();
-    return rig.fm.results()[0].fct;
+    return rig.flows.results[0].fct;
   };
   EXPECT_EQ(run(false), run(true));
 }
@@ -220,9 +221,9 @@ TEST(DelayedAck, DctcpFlowStillCompletes) {
   spec.size = 2'000'000;
   spec.tcp.delayed_ack = true;
   spec.tcp.cc = CongestionControl::kDctcp;
-  rig.fm.start_flow(*rig.a, *rig.b, spec);
+  rig.flows.launch(*rig.a, *rig.b, spec);
   rig.sim.run();
-  EXPECT_EQ(rig.fm.flows_completed(), 1u);
+  EXPECT_EQ(rig.flows.results.size(), 1u);
 }
 
 TEST(SackPlusDelayedAck, LossyPathCompletes) {
@@ -231,9 +232,9 @@ TEST(SackPlusDelayedAck, LossyPathCompletes) {
   spec.size = 500'000;
   spec.tcp = lossy_cfg(true);
   spec.tcp.delayed_ack = true;
-  rig.fm.start_flow(*rig.a, *rig.b, spec);
+  rig.flows.launch(*rig.a, *rig.b, spec);
   rig.sim.run(10 * sim::kSecond);
-  EXPECT_EQ(rig.fm.flows_completed(), 1u);
+  EXPECT_EQ(rig.flows.results.size(), 1u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 
+#include "flow_recorder.hpp"
 #include "net/fifo_scheduler.hpp"
 #include "net/marker.hpp"
 #include "topo/network.hpp"
@@ -43,17 +44,17 @@ TEST(Star, AnyPairCanExchangeFlows) {
   cfg.num_hosts = 4;
   cfg.host_delay = 5 * sim::kMicrosecond;
   auto net = build_star(s, cfg, fifo_factory(), null_marker_factory());
-  transport::FlowManager fm;
+  transport::FlowRecorder flows;
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {
       if (i == j) continue;
       transport::FlowSpec spec;
       spec.size = 20'000;
-      fm.start_flow(net.host(i), net.host(j), spec);
+      flows.launch(net.host(i), net.host(j), spec);
     }
   }
   s.run();
-  EXPECT_EQ(fm.flows_completed(), 12u);
+  EXPECT_EQ(flows.results.size(), 12u);
 }
 
 TEST(Star, BaseRttMatchesCalibration) {
@@ -112,28 +113,28 @@ TEST(LeafSpine, TopologyShape) {
 
 TEST(LeafSpine, IntraLeafAndCrossLeafFlowsComplete) {
   LeafSpineRig rig;
-  transport::FlowManager fm;
+  transport::FlowRecorder flows;
   transport::FlowSpec spec;
   spec.size = 100'000;
-  fm.start_flow(rig.net->host(0), rig.net->host(1), spec);  // same leaf
-  fm.start_flow(rig.net->host(0), rig.net->host(8), spec);  // across spine
+  flows.launch(rig.net->host(0), rig.net->host(1), spec);  // same leaf
+  flows.launch(rig.net->host(0), rig.net->host(8), spec);  // across spine
   rig.s.run();
-  EXPECT_EQ(fm.flows_completed(), 2u);
+  EXPECT_EQ(flows.results.size(), 2u);
 }
 
 TEST(LeafSpine, AllPairsComplete) {
   LeafSpineRig rig;
-  transport::FlowManager fm;
+  transport::FlowRecorder flows;
   for (std::size_t i = 0; i < 9; ++i) {
     for (std::size_t j = 0; j < 9; ++j) {
       if (i == j) continue;
       transport::FlowSpec spec;
       spec.size = 10'000;
-      fm.start_flow(rig.net->host(i), rig.net->host(j), spec);
+      flows.launch(rig.net->host(i), rig.net->host(j), spec);
     }
   }
   rig.s.run();
-  EXPECT_EQ(fm.flows_completed(), 72u);
+  EXPECT_EQ(flows.results.size(), 72u);
 }
 
 TEST(LeafSpine, CrossFabricBaseRttIs85us) {
@@ -158,14 +159,14 @@ TEST(LeafSpine, CrossFabricBaseRttIs85us) {
 TEST(LeafSpine, EcmpUsesMultipleSpines) {
   // Many flows between the same pair of leaves must traverse both spines.
   LeafSpineRig rig(2, 2, 4);
-  transport::FlowManager fm;
+  transport::FlowRecorder flows;
   for (int k = 0; k < 32; ++k) {
     transport::FlowSpec spec;
     spec.size = 3'000;
-    fm.start_flow(rig.net->host(k % 4), rig.net->host(4 + k % 4), spec);
+    flows.launch(rig.net->host(k % 4), rig.net->host(4 + k % 4), spec);
   }
   rig.s.run();
-  EXPECT_EQ(fm.flows_completed(), 32u);
+  EXPECT_EQ(flows.results.size(), 32u);
   // Spines are switches 2 and 3; both must have forwarded data.
   std::uint64_t tx2 = 0, tx3 = 0;
   for (std::size_t p = 0; p < rig.net->switch_at(2).num_ports(); ++p) {
@@ -180,11 +181,11 @@ TEST(LeafSpine, EcmpUsesMultipleSpines) {
 
 TEST(LeafSpine, NoUnroutedPackets) {
   LeafSpineRig rig;
-  transport::FlowManager fm;
+  transport::FlowRecorder flows;
   for (std::size_t i = 0; i < 9; i += 2) {
     transport::FlowSpec spec;
     spec.size = 50'000;
-    fm.start_flow(rig.net->host(i), rig.net->host((i + 4) % 9), spec);
+    flows.launch(rig.net->host(i), rig.net->host((i + 4) % 9), spec);
   }
   rig.s.run();
   for (std::size_t sw = 0; sw < rig.net->num_switches(); ++sw) {

@@ -20,7 +20,7 @@
 #include "sim/random.hpp"
 #include "topo/network.hpp"
 #include "traffic/arrival.hpp"
-#include "traffic/flow_slab.hpp"
+#include "traffic/engine.hpp"
 #include "traffic/spec.hpp"
 #include "traffic/trace_replay.hpp"
 

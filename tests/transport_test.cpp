@@ -6,6 +6,7 @@
 #include <cmath>
 #include <memory>
 
+#include "flow_recorder.hpp"
 #include "net/fifo_scheduler.hpp"
 #include "net/host.hpp"
 #include "net/marker.hpp"
@@ -58,18 +59,18 @@ struct TwoHostRig {
   sim::Simulator sim;
   net::Switch sw;
   std::unique_ptr<net::Host> a, b;
-  FlowManager fm;
+  FlowRecorder flows;
 };
 
 TEST(TcpFlow, CompletesExactByteCount) {
   TwoHostRig rig;
   FlowSpec spec;
   spec.size = 1'000'000;
-  std::uint64_t id = rig.fm.start_flow(*rig.a, *rig.b, spec);
+  rig.flows.launch(*rig.a, *rig.b, spec);
   rig.sim.run();
-  ASSERT_EQ(rig.fm.flows_completed(), 1u);
-  const auto& r = rig.fm.results()[0];
-  EXPECT_EQ(r.flow_id, id);
+  ASSERT_EQ(rig.flows.results.size(), 1u);
+  const auto& r = rig.flows.results[0];
+  EXPECT_EQ(r.flow_id, 1u);  // cold flows are numbered from 1
   EXPECT_EQ(r.size, 1'000'000u);
   EXPECT_EQ(r.timeouts, 0u);
 }
@@ -78,10 +79,10 @@ TEST(TcpFlow, FctLowerBoundedByIdealTransfer) {
   TwoHostRig rig;
   FlowSpec spec;
   spec.size = 10'000'000;
-  rig.fm.start_flow(*rig.a, *rig.b, spec);
+  rig.flows.launch(*rig.a, *rig.b, spec);
   rig.sim.run();
-  ASSERT_EQ(rig.fm.flows_completed(), 1u);
-  const double fct_s = sim::to_seconds(rig.fm.results()[0].fct);
+  ASSERT_EQ(rig.flows.results.size(), 1u);
+  const double fct_s = sim::to_seconds(rig.flows.results[0].fct);
   // Wire bytes = size * 1500/1460; at 1Gbps.
   const double ideal_s = 10e6 * (1500.0 / 1460.0) * 8.0 / 1e9;
   EXPECT_GE(fct_s, ideal_s);
@@ -92,11 +93,11 @@ TEST(TcpFlow, TinyFlowFinishesInFewRtts) {
   TwoHostRig rig;
   FlowSpec spec;
   spec.size = 4'000;  // 3 packets
-  rig.fm.start_flow(*rig.a, *rig.b, spec);
+  rig.flows.launch(*rig.a, *rig.b, spec);
   rig.sim.run();
-  ASSERT_EQ(rig.fm.flows_completed(), 1u);
+  ASSERT_EQ(rig.flows.results.size(), 1u);
   // Base RTT here is ~4x10us + small; one window is enough.
-  EXPECT_LT(rig.fm.results()[0].fct, 200 * sim::kMicrosecond);
+  EXPECT_LT(rig.flows.results[0].fct, 200 * sim::kMicrosecond);
 }
 
 TEST(TcpFlow, ManyParallelFlowsAllComplete) {
@@ -104,11 +105,11 @@ TEST(TcpFlow, ManyParallelFlowsAllComplete) {
   for (int i = 0; i < 20; ++i) {
     FlowSpec spec;
     spec.size = 50'000 + 1000 * i;
-    rig.fm.start_flow(*rig.a, *rig.b, spec);
+    rig.flows.launch(*rig.a, *rig.b, spec);
   }
   rig.sim.run();
-  EXPECT_EQ(rig.fm.flows_completed(), 20u);
-  for (const auto& r : rig.fm.results()) EXPECT_GT(r.fct, 0);
+  EXPECT_EQ(rig.flows.results.size(), 20u);
+  for (const auto& r : rig.flows.results) EXPECT_GT(r.fct, 0);
 }
 
 TEST(TcpFlow, SlowStartDoublesWindow) {
@@ -116,8 +117,8 @@ TEST(TcpFlow, SlowStartDoublesWindow) {
   FlowSpec spec;
   spec.size = 2'000'000;
   spec.tcp.init_cwnd_pkts = 2;
-  const auto id = rig.fm.start_flow(*rig.a, *rig.b, spec);
-  auto* sender = rig.fm.sender(id);
+  const auto slot = rig.flows.launch(*rig.a, *rig.b, spec);
+  const TcpSender* sender = &rig.flows.sender(slot);
   // After ~3 RTTs of slow start with no marks, cwnd should have grown
   // several-fold. Probe at 1ms (RTT ~= 46us).
   double cwnd_at_1ms = 0;
@@ -145,8 +146,8 @@ TEST(TcpEcn, EcnStarHalvesOncePerWindow) {
   FlowSpec spec;
   spec.size = 40'000'000;
   spec.tcp.cc = CongestionControl::kEcnStar;
-  const auto id = rig.fm.start_flow(*rig.a, *rig.b, spec);
-  auto* sender = rig.fm.sender(id);
+  const auto slot = rig.flows.launch(*rig.a, *rig.b, spec);
+  const TcpSender* sender = &rig.flows.sender(slot);
 
   double before = 0;
   rig.sim.schedule_at(sim::kMillisecond - 1,
@@ -170,9 +171,9 @@ TEST(TcpEcn, DctcpCutsProportionallyToAlpha) {
     FlowSpec spec;
     spec.size = 5'000'000;
     spec.tcp.cc = cc;
-    const auto id = rig.fm.start_flow(*rig.a, *rig.b, spec);
+    const auto slot = rig.flows.launch(*rig.a, *rig.b, spec);
     rig.sim.run(5 * sim::kMillisecond);
-    return rig.fm.sender(id)->bytes_acked();
+    return rig.flows.sender(slot).bytes_acked();
   };
   // Under continuous marking both transports survive; DCTCP (alpha starts at
   // 1) reduces like ECN*, so throughputs are comparable -- this is a sanity
@@ -190,9 +191,9 @@ TEST(TcpEcn, DctcpAlphaConvergesToMarkedFraction) {
   FlowSpec spec;
   spec.size = 20'000'000;
   spec.tcp.cc = CongestionControl::kDctcp;
-  const auto id = rig.fm.start_flow(*rig.a, *rig.b, spec);
+  const auto slot = rig.flows.launch(*rig.a, *rig.b, spec);
   rig.sim.run(20 * sim::kMillisecond);
-  EXPECT_GT(rig.fm.sender(id)->dctcp_alpha(), 0.9);
+  EXPECT_GT(rig.flows.sender(slot).dctcp_alpha(), 0.9);
 }
 
 TEST(TcpEcn, AlphaDecaysWithoutMarks) {
@@ -204,11 +205,11 @@ TEST(TcpEcn, AlphaDecaysWithoutMarks) {
   FlowSpec spec;
   spec.size = 2'000'000;
   spec.tcp.cc = CongestionControl::kDctcp;
-  const auto id = rig.fm.start_flow(*rig.a, *rig.b, spec);
+  const auto slot = rig.flows.launch(*rig.a, *rig.b, spec);
   rig.sim.run();
-  ASSERT_EQ(rig.fm.flows_completed(), 1u);
-  EXPECT_LT(rig.fm.sender(id)->dctcp_alpha(), 0.7);
-  EXPECT_GT(rig.fm.sender(id)->cwnd_bytes(), 10.0 * 1460);
+  ASSERT_EQ(rig.flows.results.size(), 1u);
+  EXPECT_LT(rig.flows.sender(slot).dctcp_alpha(), 0.7);
+  EXPECT_GT(rig.flows.sender(slot).cwnd_bytes(), 10.0 * 1460);
 }
 
 TEST(TcpLoss, RecoversFromBufferOverflow) {
@@ -219,9 +220,9 @@ TEST(TcpLoss, RecoversFromBufferOverflow) {
   spec.size = 3'000'000;
   spec.tcp.rto_min = 5 * sim::kMillisecond;
   spec.tcp.rto_init = 5 * sim::kMillisecond;
-  rig.fm.start_flow(*rig.a, *rig.b, spec);
+  rig.flows.launch(*rig.a, *rig.b, spec);
   rig.sim.run();
-  ASSERT_EQ(rig.fm.flows_completed(), 1u);
+  ASSERT_EQ(rig.flows.results.size(), 1u);
   EXPECT_GT(rig.sw.port(1).counters().drops, 0u);
 }
 
@@ -239,9 +240,9 @@ TEST(TcpLoss, TailDropOfLastSegmentRecoversViaRto) {
   // Instead we emulate by sending into an unrouted destination first -- not
   // feasible here; accept loss via buffer: buffer fits 0 packets.
   TwoHostRig tiny(nullptr, 1'000'000'000, /*switch_buffer=*/100);
-  tiny.fm.start_flow(*tiny.a, *tiny.b, spec);
+  tiny.flows.launch(*tiny.a, *tiny.b, spec);
   tiny.sim.run(sim::kSecond);
-  ASSERT_EQ(tiny.fm.flows_completed(), 0u);  // 100B buffer: nothing passes
+  ASSERT_EQ(tiny.flows.results.size(), 0u);  // 100B buffer: nothing passes
   // Now a buffer that fits exactly one packet: everything eventually passes,
   // one packet at a time, with timeouts.
   TwoHostRig narrow(nullptr, 1'000'000'000, /*switch_buffer=*/1'500);
@@ -249,10 +250,10 @@ TEST(TcpLoss, TailDropOfLastSegmentRecoversViaRto) {
   spec2.size = 14'600;  // 10 segments
   spec2.tcp.rto_min = 5 * sim::kMillisecond;
   spec2.tcp.rto_init = 5 * sim::kMillisecond;
-  narrow.fm.start_flow(*narrow.a, *narrow.b, spec2);
+  narrow.flows.launch(*narrow.a, *narrow.b, spec2);
   narrow.sim.run(10 * sim::kSecond);
-  ASSERT_EQ(narrow.fm.flows_completed(), 1u);
-  EXPECT_GE(narrow.fm.results()[0].timeouts, 1u);
+  ASSERT_EQ(narrow.flows.results.size(), 1u);
+  EXPECT_GE(narrow.flows.results[0].timeouts, 1u);
 }
 
 TEST(TcpLoss, TimeoutCountIsReported) {
@@ -262,18 +263,10 @@ TEST(TcpLoss, TimeoutCountIsReported) {
   spec.tcp.rto_min = 5 * sim::kMillisecond;
   spec.tcp.rto_init = 5 * sim::kMillisecond;
   spec.tcp.init_cwnd_pkts = 32;  // guarantee an overflow burst
-  rig.fm.start_flow(*rig.a, *rig.b, spec);
+  const auto slot = rig.flows.launch(*rig.a, *rig.b, spec);
   rig.sim.run(20 * sim::kSecond);
-  ASSERT_EQ(rig.fm.flows_completed(), 1u);
-  EXPECT_EQ(rig.fm.results()[0].timeouts, rig.fm.total_timeouts());
-}
-
-TEST(TcpConfigTest, StartTwiceThrows) {
-  TwoHostRig rig;
-  FlowSpec spec;
-  spec.size = 1000;
-  const auto id = rig.fm.start_flow(*rig.a, *rig.b, spec);
-  EXPECT_THROW(rig.fm.sender(id)->start(1), std::logic_error);
+  ASSERT_EQ(rig.flows.results.size(), 1u);
+  EXPECT_EQ(rig.flows.results[0].timeouts, rig.flows.sender(slot).timeouts());
 }
 
 TEST(Pias, TwoPriorityTagging) {
@@ -304,13 +297,13 @@ TEST(Pias, DataPacketsCarryPerOffsetDscp) {
   FlowSpec spec;
   spec.size = 300'000;
   spec.data_dscp = pias::two_priority(0, 5, 100'000);
-  rig.fm.start_flow(*rig.a, *rig.b, spec);
+  rig.flows.launch(*rig.a, *rig.b, spec);
   // Count DSCPs seen at the receiving sink by snooping at the switch port
   // counters is indirect; instead bind a tap on host b? The sink consumes
   // packets, so check totals via completion and rely on pias unit tests for
   // the mapping. Here we only assert the flow still completes.
   rig.sim.run();
-  EXPECT_EQ(rig.fm.flows_completed(), 1u);
+  EXPECT_EQ(rig.flows.results.size(), 1u);
 }
 
 TEST(Ping, MeasuresBaseRtt) {
@@ -336,7 +329,7 @@ TEST(Ping, SeesQueueingDelayUnderLoad) {
   FlowSpec spec;
   spec.size = 30'000'000;
   spec.tcp.max_cwnd_bytes = 200'000;  // standing queue ~200KB at the switch
-  rig.fm.start_flow(*rig.a, *rig.b, spec);
+  rig.flows.launch(*rig.a, *rig.b, spec);
   ping.start();
   rig.sim.run(20 * sim::kMillisecond);
   ping.stop();

@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "flow_recorder.hpp"
 #include "net/fifo_scheduler.hpp"
 
 #include "net/marker.hpp"
@@ -112,7 +113,7 @@ TEST(Distributions, SmallFlowFractionsDiffer) {
 
 struct GenRig {
   GenRig() : launch([this](net::Host& a, net::Host& b, transport::FlowSpec spec) {
-      fm.start_flow(a, b, std::move(spec));
+      flows.launch(a, b, std::move(spec));
     }) {
     topo::StarConfig cfg;
     cfg.num_hosts = 9;
@@ -127,7 +128,7 @@ struct GenRig {
   }
   sim::Simulator simulator;
   std::optional<topo::Network> network;
-  transport::FlowManager fm;
+  transport::FlowRecorder flows;
   FlowLauncher launch;
 };
 
@@ -153,7 +154,7 @@ TEST(ConvergeGenerator, GeneratesRequestedFlowCount) {
   gen.start();
   rig.simulator.run();
   EXPECT_EQ(gen.flows_generated(), 200u);
-  EXPECT_EQ(rig.fm.flows_started(), 200u);
+  EXPECT_EQ(rig.flows.slab.launched(), 200u);
   // All four services seen.
   EXPECT_EQ(service_counts.size(), 4u);
 }
