@@ -20,8 +20,8 @@ PacketUidScope::~PacketUidScope() { tls_uid_scope = prev_; }
 
 void PacketDeleter::operator()(Packet* p) const noexcept {
   if (p == nullptr) return;
-  if (pool != nullptr) {
-    pool->recycle(p);
+  if (p->pool != nullptr) {
+    p->pool->recycle(p);
   } else {
     delete p;
   }
@@ -30,8 +30,7 @@ void PacketDeleter::operator()(Packet* p) const noexcept {
 PacketPtr PacketPool::acquire() {
   Packet* p;
   if (free_.empty()) {
-    slab_.emplace_back();
-    p = &slab_.back();
+    p = &slab_.emplace_back();
     ++fresh_;
   } else {
     p = free_.back();
@@ -41,7 +40,8 @@ PacketPtr PacketPool::acquire() {
     *p = Packet{};
     ++reused_;
   }
-  return PacketPtr(p, PacketDeleter{this});
+  p->pool = this;
+  return PacketPtr(p);
 }
 
 void PacketPool::recycle(Packet* p) noexcept {
@@ -70,7 +70,7 @@ PacketPool* PacketPool::current() noexcept { return tls_pool; }
 PacketPtr make_packet() {
   PacketPtr p = tls_pool != nullptr
                     ? tls_pool->acquire()
-                    : PacketPtr(new Packet(), PacketDeleter{nullptr});
+                    : PacketPtr(new Packet());
   if (tls_uid_scope != nullptr) {
     p->uid = tls_uid_scope->next();
   } else {

@@ -2,10 +2,11 @@
 //
 // One struct covers TCP data/ACK segments and ping probes. Packets are owned
 // by exactly one component at a time and moved along the path as a PacketPtr
-// (a unique_ptr with a pool-aware deleter); queues, links and transports
-// never share them. With a PacketPool::Scope installed, every make_packet()
-// draws from a per-run free list and every PacketPtr destruction recycles
-// into it, so steady-state packet churn performs zero heap allocations.
+// (a one-pointer unique_ptr whose stateless deleter reads the owning pool
+// off the packet); queues, links and transports never share them. With a
+// PacketPool::Scope installed, every make_packet() draws from a per-run free
+// list and every PacketPtr destruction recycles into it, so steady-state
+// packet churn performs zero heap allocations.
 #pragma once
 
 #include <array>
@@ -38,6 +39,8 @@ enum class PacketType : std::uint8_t {
 inline constexpr std::uint32_t kHeaderBytes = 40;
 /// Default MSS; 1500B MTU minus headers.
 inline constexpr std::uint32_t kDefaultMss = 1460;
+
+class PacketPool;
 
 struct Packet {
   std::uint64_t uid = 0;  ///< globally unique, for tracing
@@ -79,22 +82,26 @@ struct Packet {
   /// Lets PacketPool detect double-recycle misuse without a side table;
   /// not a wire field and reset on every acquire.
   bool pool_free = false;
+  /// The pool the packet returns to when its owner drops it; nullptr for a
+  /// packet made outside any pool scope (plain-deleted instead). Set once
+  /// by make_packet(), so a packet goes home even if scopes changed since.
+  PacketPool* pool = nullptr;
+  /// Queue-internal link: the next packet of the PacketQueue holding this
+  /// one (nullptr at the tail and outside a queue). Not a wire field.
+  Packet* next = nullptr;
 };
 
-class PacketPool;
-
-/// Deleter behind PacketPtr: recycles into the owning pool, or plain-deletes
-/// packets allocated outside any pool scope. Captured per-packet at
-/// make_packet() time, so a packet always returns to the pool it came from
-/// even if scopes changed in between.
+/// Deleter behind PacketPtr: recycles into the packet's pool, or
+/// plain-deletes a packet made outside any pool scope. Stateless, so a
+/// PacketPtr is one pointer wide.
 struct PacketDeleter {
-  PacketPool* pool = nullptr;
   void operator()(Packet* p) const noexcept;
 };
 
 /// Owning handle to a packet. Exactly one component holds it at a time;
 /// destruction recycles pooled packets instead of freeing them.
 using PacketPtr = std::unique_ptr<Packet, PacketDeleter>;
+static_assert(sizeof(PacketPtr) == sizeof(Packet*));
 
 /// Per-simulation packet free list.
 //

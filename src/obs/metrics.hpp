@@ -70,7 +70,10 @@ class Gauge {
 /// Log-linear (HDR-style) histogram over non-negative 64-bit values.
 /// Relative bucket error is bounded by 1/kSubBuckets; exact count, sum,
 /// min and max are tracked alongside the buckets, so mean() is exact and
-/// only percentile() carries the bucket quantization.
+/// only percentile() carries the bucket quantization. Only non-empty
+/// buckets are stored, as (index, count) pairs sorted by index: a port's
+/// sojourn histograms hit a few dozen buckets spread over many octaves, so
+/// dense counts up to the highest bucket would be mostly zeros.
 class LogHistogram {
  public:
   static constexpr std::uint32_t kSubBucketBits = 5;
@@ -105,9 +108,22 @@ class LogHistogram {
   void record(std::int64_t signed_v) noexcept {
     const std::uint64_t v =
         signed_v < 0 ? 0 : static_cast<std::uint64_t>(signed_v);
-    const std::size_t idx = bucket_index(v);
-    if (idx >= counts_.size()) counts_.resize(idx + 1, 0);
-    ++counts_[idx];
+    const auto idx = static_cast<std::uint32_t>(bucket_index(v));
+    // Branch-free binary search for the last bucket with index <= idx
+    // (the sample's bucket once it exists); record() runs three times per
+    // dequeue when metrics are on, and sample buckets are unpredictable.
+    std::size_t pos = 0;
+    for (std::size_t n = buckets_.size(); n > 1;) {
+      const std::size_t half = n / 2;
+      pos = buckets_[pos + half].index <= idx ? pos + half : pos;
+      n -= half;
+    }
+    if (buckets_.empty() || buckets_[pos].index != idx) {
+      if (!buckets_.empty() && buckets_[pos].index < idx) ++pos;
+      buckets_.insert(buckets_.begin() + static_cast<std::ptrdiff_t>(pos),
+                      Bucket{idx, 0});
+    }
+    ++buckets_[pos].count;
     ++count_;
     sum_ += v;
     if (count_ == 1 || v < min_) min_ = v;
@@ -132,10 +148,11 @@ class LogHistogram {
     std::uint64_t rank = static_cast<std::uint64_t>(rank_f);
     if (rank >= count_) rank = count_ - 1;
     std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      seen += counts_[i];
+    for (const Bucket& b : buckets_) {
+      seen += b.count;
       if (seen > rank) {
-        const std::uint64_t mid = bucket_floor(i) + (bucket_ceil(i) - bucket_floor(i)) / 2;
+        const std::uint64_t lo = bucket_floor(b.index);
+        const std::uint64_t mid = lo + (bucket_ceil(b.index) - lo) / 2;
         return std::clamp(mid, min_, max_);
       }
     }
@@ -154,12 +171,11 @@ class LogHistogram {
     if (q >= 1.0) return static_cast<double>(max_);
     const double rank = q * static_cast<double>(count_);  // in (0, count)
     double seen = 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      const double c = static_cast<double>(counts_[i]);
-      if (c == 0.0) continue;
+    for (const Bucket& b : buckets_) {
+      const double c = static_cast<double>(b.count);
       if (seen + c >= rank) {
-        const double lo = static_cast<double>(bucket_floor(i));
-        const double hi = static_cast<double>(bucket_ceil(i));
+        const double lo = static_cast<double>(bucket_floor(b.index));
+        const double hi = static_cast<double>(bucket_ceil(b.index));
         const double v = lo + (rank - seen) / c * (hi - lo);
         return std::clamp(v, static_cast<double>(min_),
                           static_cast<double>(max_));
@@ -173,14 +189,20 @@ class LogHistogram {
   [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets()
       const {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      if (counts_[i] > 0) out.emplace_back(bucket_floor(i), counts_[i]);
+    out.reserve(buckets_.size());
+    for (const Bucket& b : buckets_) {
+      out.emplace_back(bucket_floor(b.index), b.count);
     }
     return out;
   }
 
  private:
-  std::vector<std::uint64_t> counts_;  // grown lazily to the highest bucket
+  struct Bucket {
+    std::uint32_t index;  ///< bucket_index() of the values counted
+    std::uint64_t count;  ///< > 0
+  };
+
+  std::vector<Bucket> buckets_;  // non-empty buckets, ascending index
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = 0;

@@ -46,7 +46,7 @@ void BinaryHeapQueue::sift_down(std::size_t i) {
 // ---------------------------------------------------------------- calendar --
 
 CalendarQueue::CalendarQueue()
-    : buckets_(kMinBuckets), bucket_mask_(kMinBuckets - 1) {}
+    : heads_(kMinBuckets, kNil), bucket_mask_(kMinBuckets - 1) {}
 
 void CalendarQueue::place(const EventEntry& e) {
   const std::uint64_t vb = vbucket(e.at);
@@ -55,14 +55,24 @@ void CalendarQueue::place(const EventEntry& e) {
     std::push_heap(overflow_.begin(), overflow_.end(), entry_after);
     return;
   }
-  std::vector<EventEntry>& b = buckets_[vb & bucket_mask_];
   if (dial_sorted_ && vb == dial_vb_) {
-    // The dial already sorted this bucket (descending); keep the invariant
-    // so in-progress draining stays a pop_back. Same-time self-reschedules
-    // land at the back (seq is larger), so the common case is O(1).
-    b.insert(std::upper_bound(b.begin(), b.end(), e, entry_after), e);
+    // The dial already drained and sorted this bucket (descending); keep
+    // the invariant so in-progress draining stays a pop_back. Same-time
+    // self-reschedules land at the back (seq is larger), so the common case
+    // is O(1).
+    dial_.insert(std::upper_bound(dial_.begin(), dial_.end(), e, entry_after),
+                 e);
   } else {
-    b.push_back(e);
+    std::uint32_t n = free_nodes_;
+    if (n != kNil) {
+      free_nodes_ = nodes_[n].next;
+    } else {
+      n = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.emplace_back();
+    }
+    std::uint32_t& head = heads_[vb & bucket_mask_];
+    nodes_[n] = Node{e, head};
+    head = n;
   }
   ++bucketed_;
 }
@@ -88,14 +98,31 @@ void CalendarQueue::push(const EventEntry& e) {
     // one; rebuild with the dial rewound so the one-day invariant holds.
     ++size_;
     place(e);  // may briefly violate the horizon; rebuild fixes everything
-    rebuild(buckets_.size(), shift_);
+    rebuild(heads_.size(), shift_);
     return;
   }
   ++size_;
   place(e);
-  if (bucketed_ > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) {
+  if (bucketed_ > 2 * heads_.size() && heads_.size() < kMaxBuckets) {
     resize_to_fit();
   }
+}
+
+void CalendarQueue::settle_dial(std::uint32_t& head) {
+  // Unlink the whole list onto the free list while copying it out; the
+  // list is unsorted, and (at, seq) keys are unique, so the order the
+  // entries arrive in cannot change the sorted result.
+  for (std::uint32_t n = head; n != kNil;) {
+    Node& node = nodes_[n];
+    dial_.push_back(node.e);
+    const std::uint32_t next = node.next;
+    node.next = free_nodes_;
+    free_nodes_ = n;
+    n = next;
+  }
+  head = kNil;
+  std::sort(dial_.begin(), dial_.end(), entry_after);
+  dial_sorted_ = true;
 }
 
 const EventEntry* CalendarQueue::peek() {
@@ -110,14 +137,11 @@ const EventEntry* CalendarQueue::peek() {
       migrate_overflow();
       continue;
     }
-    std::vector<EventEntry>& b = buckets_[dial_vb_ & bucket_mask_];
-    if (!b.empty()) {
-      if (!dial_sorted_) {
-        std::sort(b.begin(), b.end(), entry_after);
-        dial_sorted_ = true;
-      }
-      return &b.back();
+    if (!dial_sorted_) {
+      std::uint32_t& head = heads_[dial_vb_ & bucket_mask_];
+      if (head != kNil) settle_dial(head);
     }
+    if (!dial_.empty()) return &dial_.back();
     ++dial_vb_;
     dial_sorted_ = false;
     migrate_overflow();  // horizon advanced one bucket
@@ -128,27 +152,35 @@ EventEntry CalendarQueue::pop() {
   const EventEntry* top = peek();
   assert(top != nullptr);
   const EventEntry e = *top;
-  buckets_[dial_vb_ & bucket_mask_].pop_back();
+  dial_.pop_back();
   --bucketed_;
   --size_;
   return e;
 }
 
+template <typename F>
+void CalendarQueue::for_each_bucketed(F&& f) const {
+  for (const EventEntry& e : dial_) f(e);
+  for (std::uint32_t head : heads_) {
+    for (std::uint32_t n = head; n != kNil; n = nodes_[n].next) f(nodes_[n].e);
+  }
+}
+
 void CalendarQueue::rebuild(std::size_t new_buckets, int new_shift) {
   std::vector<EventEntry> all;
   all.reserve(size_);
-  for (std::vector<EventEntry>& b : buckets_) {
-    all.insert(all.end(), b.begin(), b.end());
-    b.clear();
-  }
+  for_each_bucketed([&all](const EventEntry& e) { all.push_back(e); });
   all.insert(all.end(), overflow_.begin(), overflow_.end());
   overflow_.clear();
+  dial_.clear();
   assert(all.size() == size_);
 
-  if (new_buckets != buckets_.size()) {
-    buckets_.assign(new_buckets, {});
-    bucket_mask_ = new_buckets - 1;
-  }
+  // Every node is about to be re-placed: empty the pool (capacity kept)
+  // instead of threading each node onto the free list.
+  nodes_.clear();
+  free_nodes_ = kNil;
+  heads_.assign(new_buckets, kNil);
+  bucket_mask_ = new_buckets - 1;
   shift_ = new_shift;
   bucketed_ = 0;
   dial_sorted_ = false;
@@ -169,18 +201,16 @@ void CalendarQueue::resize_to_fit() {
   // allocation-free. Everything here is a function of queue content only:
   // deterministic.
   const std::size_t want = std::clamp(2 * bucketed_, kMinBuckets, kMaxBuckets);
-  const std::size_t new_buckets = std::max(std::bit_ceil(want), buckets_.size());
+  const std::size_t new_buckets = std::max(std::bit_ceil(want), heads_.size());
 
   Time min_at = kTimeMax;
   Time max_at = 0;
   std::size_t n = 0;
-  for (const std::vector<EventEntry>& b : buckets_) {
-    for (const EventEntry& e : b) {
-      min_at = std::min(min_at, e.at);
-      max_at = std::max(max_at, e.at);
-      ++n;
-    }
-  }
+  for_each_bucketed([&](const EventEntry& e) {
+    min_at = std::min(min_at, e.at);
+    max_at = std::max(max_at, e.at);
+    ++n;
+  });
 
   int new_shift = shift_;
   if (n > 1 && max_at > min_at) {

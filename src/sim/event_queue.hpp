@@ -100,26 +100,33 @@ class BinaryHeapQueue {
 /// width 2^shift nanoseconds, plus a min-heap overflow rung for entries
 /// beyond the ring's one-"day" horizon.
 ///
+/// Storage: a bucket is one dense 32-bit head index into a shared node pool
+/// (an unsorted singly-linked list); freed nodes go onto the pool's free
+/// list. When the dial reaches a bucket its list is drained into one sorted
+/// dial vector, which the following pops drain from the back. So an empty
+/// bucket costs 4 bytes and no heap, and node storage follows the number of
+/// pending events rather than the number of buckets.
+///
 /// Invariants:
 ///   - every bucketed entry has virtual bucket (at >> shift) in
 ///     [dial, dial + num_buckets) -- so each physical bucket holds entries
 ///     of exactly one virtual bucket and the first non-empty bucket at or
 ///     after the dial contains the global minimum;
 ///   - every overflow entry has virtual bucket >= dial + num_buckets;
-///   - the bucket under the dial is kept sorted (descending, so pop is a
-///     pop_back) from the moment the dial reaches it; other buckets are
-///     unsorted append-only.
+///   - once the dial has reached its bucket (dial_sorted_), the entries of
+///     the dial's virtual bucket live in dial_, sorted descending so pop is
+///     a pop_back, and its list is empty; every other bucket is a list.
 ///
 /// The dial advances while peeking; pushing an entry behind a settled dial
 /// (possible only after run(until) returned with events still pending)
 /// rewinds via a full rebuild -- rare and O(n). Bucket count and width
 /// adapt by rebuild when bucketed occupancy exceeds 2*num_buckets; the ring
-/// only grows, plateauing at the peak population like every other hot-path
-/// pool, so steady state performs no allocations. resizes() counts rebuilds
-/// for observability. All sizing decisions depend only on queue content,
-/// never on the host, so runs stay deterministic -- and pop order is exact
-/// (at, seq) regardless of sizing, so even a bad width heuristic can only
-/// cost speed, not correctness.
+/// only grows, and the node pool and dial vector plateau at the peak
+/// population like every other hot-path pool, so steady state performs no
+/// allocations. resizes() counts rebuilds for observability. All sizing
+/// decisions depend only on queue content, never on the host, so runs stay
+/// deterministic -- and pop order is exact (at, seq) regardless of sizing,
+/// so even a bad width heuristic can only cost speed, not correctness.
 class CalendarQueue {
  public:
   static constexpr std::size_t kMinBuckets = 64;
@@ -143,40 +150,60 @@ class CalendarQueue {
   // Introspection (obs + tests).
   [[nodiscard]] std::uint64_t resizes() const noexcept { return resizes_; }
   [[nodiscard]] std::size_t num_buckets() const noexcept {
-    return buckets_.size();
+    return heads_.size();
   }
   [[nodiscard]] int shift() const noexcept { return shift_; }
   [[nodiscard]] std::size_t overflow_size() const noexcept {
     return overflow_.size();
   }
+  /// Bucket nodes ever created: the pool's high-water mark.
+  [[nodiscard]] std::size_t node_pool_size() const noexcept {
+    return nodes_.size();
+  }
 
  private:
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  /// One bucketed entry and the next node of its bucket's list.
+  struct Node {
+    EventEntry e;
+    std::uint32_t next;
+  };
+
   [[nodiscard]] std::uint64_t vbucket(Time at) const noexcept {
     return static_cast<std::uint64_t>(at) >> shift_;
   }
   /// First virtual bucket beyond the ring: entries at or past it overflow.
   [[nodiscard]] std::uint64_t horizon_vb() const noexcept {
-    return dial_vb_ + buckets_.size();
+    return dial_vb_ + heads_.size();
   }
 
   /// Place `e` into its bucket or the overflow rung (no sizing checks).
   void place(const EventEntry& e);
   /// Move overflow entries that fell inside the horizon into their buckets.
   void migrate_overflow();
+  /// Move the dial bucket's list into dial_ and sort it descending.
+  void settle_dial(std::uint32_t& head);
+  /// Call f(entry) for every bucketed entry (dial vector and lists).
+  template <typename F>
+  void for_each_bucketed(F&& f) const;
   /// Re-bucket everything with `new_buckets` buckets of width 2^new_shift,
   /// dial at the earliest entry. Counts as one resize.
   void rebuild(std::size_t new_buckets, int new_shift);
   /// Pick width/bucket-count for the current population and rebuild.
   void resize_to_fit();
 
-  std::vector<std::vector<EventEntry>> buckets_;
-  std::size_t bucket_mask_ = 0;      // buckets_.size() - 1 (power of two)
-  int shift_ = 10;                   // bucket width = 2^shift_ ns
-  std::uint64_t dial_vb_ = 0;        // virtual bucket under the dial
-  bool dial_sorted_ = false;         // current bucket sorted descending?
-  std::size_t bucketed_ = 0;         // entries in buckets_
-  std::vector<EventEntry> overflow_; // min-heap (entry_before) of far entries
-  std::size_t size_ = 0;             // bucketed_ + overflow_.size()
+  std::vector<std::uint32_t> heads_;  // per bucket: first node, or kNil
+  std::vector<Node> nodes_;           // node pool, indexed by heads_/next
+  std::uint32_t free_nodes_ = kNil;   // free-list head into nodes_
+  std::vector<EventEntry> dial_;      // dial bucket, sorted descending
+  std::size_t bucket_mask_ = 0;       // heads_.size() - 1 (power of two)
+  int shift_ = 10;                    // bucket width = 2^shift_ ns
+  std::uint64_t dial_vb_ = 0;         // virtual bucket under the dial
+  bool dial_sorted_ = false;          // dial bucket drained into dial_?
+  std::size_t bucketed_ = 0;          // entries in lists + dial_
+  std::vector<EventEntry> overflow_;  // min-heap (entry_before) of far entries
+  std::size_t size_ = 0;              // bucketed_ + overflow_.size()
   std::uint64_t resizes_ = 0;
 };
 

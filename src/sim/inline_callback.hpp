@@ -29,7 +29,7 @@ namespace tcn::sim {
 class InlineCallback {
  public:
   /// Inline storage budget. Sized for the fattest hot-path capture: a port
-  /// forwarding event carries {this, queue index, pooled PacketPtr} -- 32
+  /// forwarding event carries {this, queue index, pooled PacketPtr} -- 24
   /// bytes -- leaving headroom for a second pointer-rich capture without
   /// ever spilling.
   static constexpr std::size_t kInlineBytes = 64;

@@ -16,11 +16,11 @@
 //
 // Slots live in a std::deque (stable addresses); recycled slots go onto a
 // LIFO free list. A slot's TcpSender/TcpSink are destroyed at recycle
-// (cancelling timers, unbinding ports, releasing their lazy deque/map/ack
-// state) and the next flow reconstructs into the same slot. Ports recycle
-// too: Host::allocate_port() is a bump counter that throws once its ~64k
-// ephemeral ports are gone, so the slab keeps a per-host free list and a
-// host's port footprint is bounded by its peak concurrent flows.
+// (cancelling timers, unbinding ports, releasing their message ring, SACK
+// map and ack state) and the next flow reconstructs into the same slot.
+// Ports recycle too: Host::allocate_port() is a bump counter that throws
+// once its ~64k ephemeral ports are gone, so the slab keeps a per-host free
+// list and a host's port footprint is bounded by its peak concurrent flows.
 #pragma once
 
 #include <cstdint>

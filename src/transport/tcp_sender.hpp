@@ -21,12 +21,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 
 #include "net/host.hpp"
 #include "obs/metrics.hpp"
+#include "sim/ring.hpp"
 #include "transport/tcp.hpp"
 
 namespace tcn::transport {
@@ -112,7 +112,7 @@ class TcpSender {
   DscpFn default_dscp_;
   std::uint8_t ack_dscp_;
 
-  std::deque<Message> messages_;  // pending (not fully acked), FIFO
+  sim::Ring<Message> messages_;  // pending (not fully acked), FIFO
   std::uint64_t stream_end_ = 0;  // total bytes ever enqueued
   sim::Time start_time_ = 0;
   bool started_ = false;

@@ -222,5 +222,28 @@ TEST(CalendarQueue, EmptyQueueRebasesDialCheaply) {
   EXPECT_EQ(q.pop().at, 7);
 }
 
+TEST(CalendarQueue, NodeStorageFollowsPendingEntriesNotBuckets) {
+  // Hold 300 pending entries over a ~30 us spread while churning (pop the
+  // earliest, push one a random gap ahead). A bucket is a 4-byte head into
+  // one node pool, so the pool never holds more nodes than entries were
+  // bucketed at once, however many buckets the ring grows to.
+  CalendarQueue q;
+  std::mt19937_64 rng(7);
+  std::uint64_t seq = 1;
+  const auto gap = [&rng] { return static_cast<Time>(rng() % 30'000); };
+  for (int i = 0; i < 300; ++i) q.push(EventEntry{gap(), seq++, 0, 0});
+  EXPECT_GT(q.resizes(), 0u);
+  EXPECT_GE(q.num_buckets(), 512u);
+  Time prev = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    const EventEntry e = q.pop();
+    ASSERT_GE(e.at, prev);
+    prev = e.at;
+    q.push(EventEntry{e.at + gap(), seq++, 0, 0});
+    ASSERT_LE(q.node_pool_size(), 300u);
+  }
+  EXPECT_EQ(q.size(), 300u);
+}
+
 }  // namespace
 }  // namespace tcn::sim

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -118,6 +119,69 @@ TEST(LogHistogram, SparseBucketExport) {
   std::uint64_t total = 0;
   for (const auto& [floor, count] : buckets) total += count;
   EXPECT_EQ(total, h.count());
+}
+
+TEST(LogHistogram, SparseStorageMatchesDenseCounts) {
+  // Reference: the dense layout (a count per bucket index up to the
+  // highest hit) and its percentile/quantile scans. The sparse histogram
+  // must report exactly the same buckets and estimates. Samples are
+  // heavy-tailed over ~9 decades, with a lump at zero, like sojourns.
+  std::mt19937_64 rng(11);
+  LogHistogram h;
+  std::vector<std::uint64_t> dense;
+  std::uint64_t min = UINT64_MAX;
+  std::uint64_t max = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    const std::uint64_t v =
+        (rng() % 8 == 0) ? 0 : (rng() % 1'000) << (rng() % 20);
+    h.record(static_cast<std::int64_t>(v));
+    const std::size_t idx = LogHistogram::bucket_index(v);
+    if (idx >= dense.size()) dense.resize(idx + 1, 0);
+    ++dense[idx];
+    min = std::min(min, v);
+    max = std::max(max, v);
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> want;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    if (dense[i] > 0) want.emplace_back(LogHistogram::bucket_floor(i), dense[i]);
+  }
+  EXPECT_EQ(h.buckets(), want);
+
+  const auto n = static_cast<double>(h.count());
+  for (const double p : {0.0, 1.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+    auto rank = static_cast<std::uint64_t>(p / 100.0 * n);
+    if (rank >= h.count()) rank = h.count() - 1;
+    std::uint64_t seen = 0;
+    std::uint64_t ref = max;
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+      seen += dense[i];
+      if (seen > rank) {
+        const std::uint64_t lo = LogHistogram::bucket_floor(i);
+        ref = std::clamp(lo + (LogHistogram::bucket_ceil(i) - lo) / 2, min,
+                         max);
+        break;
+      }
+    }
+    EXPECT_EQ(h.percentile(p), ref) << "p=" << p;
+  }
+  for (const double q : {0.001, 0.25, 0.5, 0.75, 0.99, 0.999}) {
+    const double rank = q * n;
+    double seen = 0.0;
+    double ref = static_cast<double>(max);
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+      const auto c = static_cast<double>(dense[i]);
+      if (c == 0.0) continue;
+      if (seen + c >= rank) {
+        const auto lo = static_cast<double>(LogHistogram::bucket_floor(i));
+        const auto hi = static_cast<double>(LogHistogram::bucket_ceil(i));
+        ref = std::clamp(lo + (rank - seen) / c * (hi - lo),
+                         static_cast<double>(min), static_cast<double>(max));
+        break;
+      }
+      seen += c;
+    }
+    EXPECT_EQ(h.quantile(q), ref) << "q=" << q;
+  }
 }
 
 // ------------------------------------------------------------- registry ----

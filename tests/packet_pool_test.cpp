@@ -9,24 +9,34 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "net/marker.hpp"
+#include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/port.hpp"
+#include "net/queue.hpp"
+#include "sched/pifo.hpp"
+#include "sched/sp_pifo.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_frees{0};
 
 }  // namespace
 
-// Counting global allocator. Counts every operator new in the process --
-// gtest bookkeeping included -- so assertions sample the counter tightly
-// around the code under test and nothing else.
+// Counting global allocator. Counts every operator new and every delete of a
+// non-null pointer in the process -- gtest bookkeeping included -- so
+// assertions sample the counters tightly around the code under test and
+// nothing else.
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
@@ -41,16 +51,46 @@ void* operator new[](std::size_t n) { return ::operator new(n); }
 // does match); silence it for exactly these four definitions.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 #pragma GCC diagnostic pop
 
 namespace tcn {
 namespace {
 
 std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
+std::uint64_t frees() { return g_frees.load(std::memory_order_relaxed); }
+
+/// Link peer that drops whatever arrives (pooled packets recycle).
+class SinkNode final : public net::Node {
+ public:
+  void receive(net::PacketPtr, std::size_t) override { ++received; }
+  [[nodiscard]] std::string_view name() const override { return "sink"; }
+  std::uint64_t received = 0;
+};
+
+/// An 8-queue SP-PIFO port (queue index as rank) on a 10G link with 5 us of
+/// propagation and a 30 KB shared buffer, draining into `sink`.
+std::unique_ptr<net::Port> make_sp_pifo_port(sim::Simulator& s,
+                                             net::Node& sink) {
+  net::PortConfig cfg;
+  cfg.rate_bps = 10'000'000'000;
+  cfg.prop_delay = 5 * sim::kMicrosecond;
+  cfg.num_queues = 8;
+  cfg.buffer_bytes = 30'000;
+  auto port = std::make_unique<net::Port>(
+      s, "p0", cfg,
+      std::make_unique<sched::SpPifoScheduler>(
+          8, sched::PifoScheduler::priority_program()),
+      std::make_unique<net::NullMarker>());
+  port->connect(&sink, 0);
+  return port;
+}
 
 // ------------------------------------------------------------ pool basics ----
 
@@ -125,11 +165,21 @@ TEST(PacketPool, LiveCountTracksOutstandingHandles) {
 
 TEST(PacketPool, NoScopeFallsBackToHeap) {
   // Outside any scope make_packet() still works (tests, ad-hoc tools); the
-  // deleter plain-deletes instead of recycling.
+  // packet carries no pool, so the deleter plain-deletes it -- also when a
+  // queue destroyed while holding it is what releases it.
+  EXPECT_EQ(net::PacketPool::current(), nullptr);
   net::PacketPtr p = net::make_packet();
   ASSERT_NE(p, nullptr);
-  EXPECT_EQ(net::PacketPool::current(), nullptr);
-  p.reset();  // must not crash; nothing to assert beyond ASan cleanliness
+  EXPECT_EQ(p->pool, nullptr);
+  std::uint64_t before = frees();
+  p.reset();
+  EXPECT_EQ(frees() - before, 1u);
+
+  std::optional<net::PacketQueue> q(std::in_place);
+  q->push(net::make_packet());
+  before = frees();
+  q.reset();
+  EXPECT_EQ(frees() - before, 1u);
 }
 
 TEST(PacketPool, ScopesNestAndRestore) {
@@ -221,40 +271,133 @@ TEST(HotPath, SteadyStateEventAndPacketChurnIsAllocationFree) {
   net::PacketPool pool;
   net::PacketPool::Scope scope(pool);
   sim::Simulator s;
+  SinkNode sink;
+  const std::unique_ptr<net::Port> port = make_sp_pifo_port(s, sink);
 
-  // A self-clocked event chain that acquires a packet per tick and carries
-  // it inside the event capture -- the port-serialization pattern. The
-  // packet recycles when the fired event's callback is destroyed.
+  // A self-clocked event chain, one tick per microsecond. Each tick
+  //   - carries a packet inside a far-future event capture (200 us ahead,
+  //     so ~200 packet-carrying events sit spread over calendar buckets);
+  //   - submits a 1500 B packet to port queue tick % 8, at 12 Gb/s into a
+  //     10 Gb/s port, so all eight queues and SP-PIFO's per-queue rings
+  //     hold packets and the 30 KB buffer tail-drops the excess;
+  //   - and the port's serialization and propagation events carry the
+  //     departing packets to the sink.
+  // Every packet recycles when its event, queue slot or the sink drops it.
   struct Churn {
     sim::Simulator* s;
+    net::Port* port;
     int* remaining;
+    std::uint64_t tick = 0;
     void operator()() {
       if (--*remaining <= 0) return;
+      // The next tick goes first: the first far-future push into an empty
+      // queue would re-base the calendar's dial past the port's events.
+      s->schedule_in(sim::kMicrosecond, Churn{s, port, remaining, tick + 1});
+      auto far = net::make_packet();
+      far->size = 1500;
+      s->schedule_in(200 * sim::kMicrosecond,
+                     [pkt = std::move(far)]() mutable {});
       auto p = net::make_packet();
       p->size = 1500;
-      s->schedule_in(100, [c = *this, pkt = std::move(p)]() mutable { c(); });
+      port->enqueue(std::move(p), tick % 8);
     }
   };
 
   int remaining = 2'000;
-  s.schedule_at(0, Churn{&s, &remaining});
-  s.run();  // warmup: slab growth, heap-vector growth, free-list fill
+  s.schedule_at(0, Churn{&s, port.get(), &remaining});
+  s.run();  // warmup: slab, slot pool, calendar nodes, rings, free lists
   ASSERT_EQ(remaining, 0);
+  ASSERT_GT(port->counters().drops, 0u);  // the buffer did fill
+  ASSERT_GT(sink.received, 1'000u);
   const std::uint64_t fresh_after_warmup = pool.fresh_allocs();
+  const std::uint64_t reuses_after_warmup = pool.reuses();
+  const std::uint64_t resizes_after_warmup = s.calendar_resizes();
 
   remaining = 10'000;
-  s.schedule_in(100, Churn{&s, &remaining});
+  s.schedule_in(100, Churn{&s, port.get(), &remaining});
   const std::uint64_t allocs_before = allocs();
   s.run();
   const std::uint64_t allocs_after = allocs();
   ASSERT_EQ(remaining, 0);
 
-  // The claim of the refactor, asserted literally: ten thousand
-  // schedule+fire+packet-acquire+recycle cycles, zero heap allocations.
+  // The claim of the refactor, asserted literally: ten thousand ticks of
+  // scheduling, queueing, transmitting and recycling, zero heap
+  // allocations.
   EXPECT_EQ(allocs_after - allocs_before, 0u);
-  // And the pool-side view agrees: no slab growth after warmup, all reuse.
+  // And the pool-side view agrees: no slab growth after warmup, all reuse
+  // (two packets per tick, 9'999 ticks).
   EXPECT_EQ(pool.fresh_allocs(), fresh_after_warmup);
-  EXPECT_GE(pool.reuses(), 10'000u - fresh_after_warmup);
+  EXPECT_EQ(pool.reuses() - reuses_after_warmup, 19'998u);
+  EXPECT_EQ(s.calendar_resizes(), resizes_after_warmup);
+  EXPECT_EQ(pool.live(), 0u);
+}
+
+// ------------------------------------------------------------- ownership ----
+
+TEST(Ownership, DestroyedPortAndSimulatorRecycleEveryHeldPacket) {
+  // Tear a run down mid-flight: packets queued in all eight port queues,
+  // one serializing inside the port's tx-done event, a few propagating
+  // inside link-arrival events, and more inside plain pending events.
+  net::PacketPool pool;
+  net::PacketPool::Scope scope(pool);
+  SinkNode sink;
+  {
+    sim::Simulator s;
+    const std::unique_ptr<net::Port> port = make_sp_pifo_port(s, sink);
+    for (std::uint64_t i = 0; i < 16; ++i) {
+      auto p = net::make_packet();
+      p->size = 1500;
+      port->enqueue(std::move(p), i % 8);
+      auto held = net::make_packet();
+      s.schedule_at(1 * sim::kMillisecond + static_cast<sim::Time>(i),
+                    [pkt = std::move(held)]() mutable {});
+    }
+    s.run(6 * sim::kMicrosecond);  // five departures, some on the wire
+    ASSERT_GT(port->queue_packets(7), 0u);
+    ASSERT_GT(pool.live(), 16u);
+  }
+  EXPECT_EQ(sink.received, 0u);
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.double_recycles(), 0u);
+  EXPECT_EQ(pool.recycles(), pool.fresh_allocs());
+}
+
+TEST(Ownership, MovedPacketQueueKeepsFifoOrderAndBytes) {
+  net::PacketPool pool;
+  net::PacketPool::Scope scope(pool);
+  net::PacketQueue a;
+  for (std::uint32_t i = 1; i <= 5; ++i) {
+    auto p = net::make_packet();
+    p->size = 100 * i;
+    p->seq = i;
+    a.push(std::move(p));
+  }
+  net::PacketQueue b(std::move(a));
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.bytes(), 0u);
+  EXPECT_EQ(b.size(), 5u);
+  EXPECT_EQ(b.bytes(), 1'500u);
+
+  net::PacketQueue c;
+  c.push(net::make_packet());  // released by the move-assignment below
+  c = std::move(b);
+  EXPECT_EQ(pool.live(), 5u);
+  EXPECT_EQ(c.size(), 5u);
+  EXPECT_EQ(c.bytes(), 1'500u);
+  // The moved-from queues keep working.
+  b.push(net::make_packet());
+  EXPECT_EQ(b.size(), 1u);
+  for (std::uint32_t i = 1; i <= 5; ++i) {
+    ASSERT_EQ(c.front()->seq, i);
+    const net::PacketPtr p = c.pop();
+    EXPECT_EQ(p->seq, i);
+    EXPECT_EQ(p->next, nullptr);
+    EXPECT_EQ(c.bytes(), 100u * (15 - i * (i + 1) / 2));
+  }
+  EXPECT_TRUE(c.empty());
+  EXPECT_EQ(c.front(), nullptr);
+  EXPECT_EQ(pool.live(), 1u);
+  EXPECT_EQ(pool.double_recycles(), 0u);
 }
 
 // --------------------------------------------------------- InlineCallback ----
@@ -315,12 +458,15 @@ TEST(InlineCallback, BoxedFallbackHandlesOversizedCaptures) {
 
 TEST(InlineCallback, CompileTimeBudget) {
   // The inline budget itself is part of the contract: a {this, index,
-  // PacketPtr} forwarding capture must fit with room to spare.
+  // PacketPtr} forwarding capture must fit with room to spare. PacketPtr
+  // is one pointer (its deleter is stateless), so the capture is 24 bytes.
   struct HotCapture {
     void* self;
     std::size_t q;
     net::PacketPtr pkt;
   };
+  static_assert(sizeof(net::PacketPtr) == sizeof(void*));
+  static_assert(sizeof(HotCapture) == 3 * sizeof(void*));
   static_assert(sizeof(HotCapture) <= sim::InlineCallback::kInlineBytes);
   static_assert(sizeof(sim::InlineCallback) <=
                 sim::InlineCallback::kInlineBytes + 2 * sizeof(void*));

@@ -1,11 +1,12 @@
-// Port probe set-up cost, asserted as heap allocation counts.
+// Port set-up cost, asserted as heap allocation counts.
 //
 // This binary overrides global operator new with a counting wrapper (the
-// packet_pool_test pattern), so it can pin that observing a port -- its
-// probe taken by the run's metrics registry and time-series sampler --
-// costs a fixed number of heap allocations however many queues the port
-// has. Metrics names are built when a snapshot is taken, not per queue at
-// construction.
+// packet_pool_test pattern), so it can pin that a port -- its queues, its
+// scheduler's per-queue state, and its probe taken by the run's metrics
+// registry and time-series sampler -- costs a fixed number of heap
+// allocations however many queues it has. Queues and scheduler rings
+// allocate nothing until a packet arrives, and metrics names are built when
+// a snapshot is taken, not per queue at construction.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,12 +15,17 @@
 #include <new>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "net/fifo_scheduler.hpp"
 #include "net/marker.hpp"
 #include "net/port.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
+#include "sched/dwrr.hpp"
+#include "sched/pifo.hpp"
+#include "sched/sp_hybrid.hpp"
+#include "sched/sp_pifo.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -51,11 +57,30 @@ namespace {
 
 std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 
+using SchedFactory = std::unique_ptr<net::Scheduler> (*)(std::size_t queues);
+
+std::unique_ptr<net::Scheduler> fifo(std::size_t) {
+  return std::make_unique<net::FifoScheduler>();
+}
+
+/// SP1 + DWRR over the remaining queues (the leaf-spine scheduler).
+std::unique_ptr<net::Scheduler> sp_dwrr(std::size_t queues) {
+  return std::make_unique<sched::SpHybridScheduler>(
+      1, std::make_unique<sched::DwrrScheduler>(
+             std::vector<std::uint64_t>(queues, 1'500)));
+}
+
+std::unique_ptr<net::Scheduler> sp_pifo(std::size_t) {
+  return std::make_unique<sched::SpPifoScheduler>(
+      8, sched::PifoScheduler::priority_program());
+}
+
 /// Heap allocations made by one Port constructor with `num_queues`
 /// queues, built with or without a metrics registry and a sampler scope
-/// installed. Everything but the constructor itself is set up outside the
-/// counted span.
-std::uint64_t port_allocs(std::size_t num_queues, bool observed) {
+/// installed. Everything but the constructor itself -- the scheduler
+/// included -- is set up outside the counted span.
+std::uint64_t port_allocs(std::size_t num_queues, bool observed,
+                          SchedFactory make_sched = fifo) {
   sim::Simulator sim;
   obs::MetricsRegistry registry;
   obs::TimeSeriesConfig ts_cfg;
@@ -69,8 +94,7 @@ std::uint64_t port_allocs(std::size_t num_queues, bool observed) {
   }
   net::PortConfig cfg;
   cfg.num_queues = num_queues;
-  std::unique_ptr<net::Scheduler> sched =
-      std::make_unique<net::FifoScheduler>();
+  std::unique_ptr<net::Scheduler> sched = make_sched(num_queues);
   std::unique_ptr<net::Marker> marker = std::make_unique<net::NullMarker>();
   std::string name = "leaf0.p10";  // short enough for the inline buffer
 
@@ -88,6 +112,17 @@ TEST(PortProbe, ObservingAPortCostsTheSameAllocationsForAnyQueueCount) {
   EXPECT_GT(one, 0u);  // the histograms block and the consumers' lists
   EXPECT_EQ(observer_cost(8), one);
   EXPECT_EQ(observer_cost(32), one);
+}
+
+TEST(PortAllocations, QueueCountDoesNotChangeTheCount) {
+  // Idle queues are intrusive packet lists and the schedulers' per-queue
+  // state is rings that allocate on their first push, so a port's set-up
+  // allocations do not grow with its queue count. SP/DWRR needs at least
+  // two queues (one strict-priority queue plus one DWRR queue).
+  EXPECT_EQ(port_allocs(8, false, fifo), port_allocs(1, false, fifo));
+  EXPECT_EQ(port_allocs(8, false, sp_dwrr), port_allocs(2, false, sp_dwrr));
+  EXPECT_EQ(port_allocs(8, false, sp_pifo), port_allocs(1, false, sp_pifo));
+  EXPECT_EQ(port_allocs(8, true, sp_pifo), port_allocs(1, true, sp_pifo));
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/ecdf.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -304,6 +308,61 @@ TEST(Simulator, EventStormCounterResetsOnTimeAdvance) {
   s.schedule_at(0, tick);
   EXPECT_NO_THROW(s.run());
   EXPECT_EQ(ticks, 100);
+}
+
+TEST(Ring, AllocatesNothingUntilFirstPush) {
+  Ring<int> r;
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.capacity(), 0u);
+  Ring<int> moved(std::move(r));
+  EXPECT_EQ(moved.capacity(), 0u);
+  moved.push_back(1);
+  EXPECT_EQ(moved.capacity(), 1u);
+  EXPECT_EQ(moved.front(), 1);
+}
+
+TEST(Ring, FifoOrderAcrossGrowthAndWraparound) {
+  // Interleave pushes and pops so the head wraps while the ring grows;
+  // a non-trivial element type checks relocation on growth.
+  Ring<std::string> r;
+  std::size_t pushed = 0;
+  std::size_t popped = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 3; ++i) r.push_back(std::to_string(pushed++));
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_EQ(r.front(), std::to_string(popped++));
+      r.pop_front();
+    }
+    ASSERT_EQ(r.size(), pushed - popped);
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      ASSERT_EQ(r[i], std::to_string(popped + i));
+    }
+  }
+  // Capacity is a power of two that only grows to the peak depth.
+  EXPECT_EQ(r.capacity(), 256u);
+  while (!r.empty()) {
+    ASSERT_EQ(r.front(), std::to_string(popped++));
+    r.pop_front();
+  }
+  EXPECT_EQ(popped, pushed);
+  EXPECT_EQ(r.capacity(), 256u);
+}
+
+TEST(Ring, MoveAndDestructionReleaseHeldElements) {
+  auto token = std::make_shared<int>(7);
+  {
+    Ring<std::shared_ptr<int>> a;
+    for (int i = 0; i < 5; ++i) a.push_back(token);
+    a.pop_front();
+    EXPECT_EQ(token.use_count(), 5);
+    Ring<std::shared_ptr<int>> b;
+    b.push_back(token);
+    b = std::move(a);  // releases b's element, takes a's four
+    EXPECT_EQ(token.use_count(), 5);
+    EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(b.size(), 4u);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Rng, Deterministic) {
