@@ -409,8 +409,7 @@ FctReport run_fct_experiment(const FctExperiment& cfg) {
     report.metrics_collected = true;
     report.metrics = registry.snapshot();
     if (!cfg.metrics_out.empty()) {
-      obs::write_text_file(cfg.metrics_out,
-                           obs::metrics_to_json(report.metrics) + "\n");
+      obs::write_metrics_file(cfg.metrics_out, report.metrics);
     }
   }
   if (trace_writer) {

@@ -52,9 +52,8 @@ void JsonlTraceWriter::on_event(const net::TraceRecord& rec) {
 
 void write_metrics_object(JsonWriter& w, const MetricsSnapshot& snap) {
   w.key("counters").begin_object();
-  for (const auto& c : snap.counters) {
-    w.key(c.name).value(c.value);
-  }
+  snap.for_each_counter(
+      [&w](std::string_view name, std::uint64_t v) { w.key(name).value(v); });
   w.end_object();
   w.key("gauges").begin_object();
   for (const auto& g : snap.gauges) {
@@ -67,8 +66,9 @@ void write_metrics_object(JsonWriter& w, const MetricsSnapshot& snap) {
   }
   w.end_object();
   w.key("histograms").begin_object();
-  for (const auto& h : snap.histograms) {
-    w.key(h.name).begin_object();
+  snap.for_each_histogram([&w](std::string_view name,
+                               const MetricsSnapshot::HistogramSummary& h) {
+    w.key(name).begin_object();
     w.key("count").value(h.count);
     w.key("sum").value(h.sum);
     w.key("min").value(h.min);
@@ -84,17 +84,43 @@ void write_metrics_object(JsonWriter& w, const MetricsSnapshot& snap) {
     }
     w.end_array();
     w.end_object();
-  }
+  });
   w.end_object();
 }
 
-std::string metrics_to_json(const MetricsSnapshot& snap, int indent) {
-  JsonWriter w(indent);
+namespace {
+
+void write_metrics_document(JsonWriter& w, const MetricsSnapshot& snap) {
   w.begin_object();
   w.key("schema").value("tcn-metrics-1");
   write_metrics_object(w, snap);
   w.end_object();
+}
+
+}  // namespace
+
+std::string metrics_to_json(const MetricsSnapshot& snap, int indent) {
+  JsonWriter w(indent);
+  write_metrics_document(w, snap);
   return w.str();
+}
+
+void write_metrics_file(const std::string& path, const MetricsSnapshot& snap) {
+  stream_json_file(path,
+                   [&snap](JsonWriter& w) { write_metrics_document(w, snap); });
+}
+
+void stream_json_file(const std::string& path,
+                      const std::function<void(JsonWriter&)>& write) {
+  std::ofstream file;
+  if (path != "-") file = open_output_file(path);
+  std::ostream& out = path == "-" ? std::cout : file;
+  JsonWriter w(out, 2);
+  write(w);
+  w.flush();
+  out << '\n';
+  out.flush();
+  if (!out) throw std::runtime_error("write failed for '" + path + "'");
 }
 
 void write_stability_object(JsonWriter& w, const StabilityResult& r) {

@@ -6,8 +6,9 @@
 //    by one compact JSON object per port event, in emission order. All
 //    fields are integers except the event/port names, so the byte stream is
 //    platform- and thread-count-independent for a deterministic run.
-//  * tcn-metrics-1 -- a single JSON document with the name-sorted counters,
-//    gauges and histograms of a MetricsSnapshot.
+//  * tcn-metrics-1 -- a single JSON document with the key-sorted counters,
+//    gauges and histograms of a MetricsSnapshot; the per-port keys are
+//    generated here, as the snapshot is walked.
 //
 // write_metrics_object() emits just the three metric sections into an open
 // object, so the same serialization is shared by the standalone snapshot
@@ -16,6 +17,7 @@
 #pragma once
 
 #include <fstream>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -55,6 +57,17 @@ void write_metrics_object(JsonWriter& w, const MetricsSnapshot& snap);
 
 /// Standalone tcn-metrics-1 document.
 std::string metrics_to_json(const MetricsSnapshot& snap, int indent = 2);
+
+/// Stream the standalone document plus a newline to `path` ("-" = stdout)
+/// as it is serialized, so the whole text is never held in memory. Throws
+/// std::runtime_error with the path in the message if the file cannot be
+/// created or written.
+void write_metrics_file(const std::string& path, const MetricsSnapshot& snap);
+
+/// Stream the JSON document `write` emits (2-space indent) plus a newline
+/// to `path` ("-" = stdout), with the same errors as write_metrics_file.
+void stream_json_file(const std::string& path,
+                      const std::function<void(JsonWriter&)>& write);
 
 /// Emit a StabilityResult's fields into the writer's currently open object.
 /// Shared by the per-run tcn-bench-1 "stability" record, the tcn-atlas-1

@@ -6,6 +6,13 @@
 #include <stdexcept>
 
 namespace tcn::obs {
+namespace {
+
+/// A streaming writer hands its text to the sink in chunks of about this
+/// many bytes.
+constexpr std::size_t kChunk = 64 * 1024;
+
+}  // namespace
 
 std::string format_double(double v) {
   if (!std::isfinite(v)) return "null";
@@ -73,13 +80,22 @@ void JsonWriter::newline_indent() {
   out_.append(stack_.size() * static_cast<std::size_t>(indent_), ' ');
 }
 
+void JsonWriter::flush() {
+  if (sink_ == nullptr) return;
+  sink_->write(out_.data(), static_cast<std::streamsize>(out_.size()));
+  out_.clear();
+}
+
 void JsonWriter::before_value() {
   if (stack_.empty()) {
-    if (!out_.empty()) {
+    if (started_) {
       throw std::logic_error("JsonWriter: multiple top-level values");
     }
+    started_ = true;
     return;
   }
+  // Streaming: spill between items, in chunks well past the sink's buffer.
+  if (sink_ != nullptr && out_.size() >= kChunk) flush();
   if (stack_.back() == Scope::kObject) {
     if (!key_pending_) {
       throw std::logic_error("JsonWriter: value inside object without key");
@@ -96,6 +112,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
   if (stack_.empty() || stack_.back() != Scope::kObject || key_pending_) {
     throw std::logic_error("JsonWriter: key() outside object");
   }
+  if (sink_ != nullptr && out_.size() >= kChunk) flush();
   if (has_items_.back()) out_ += ',';
   has_items_.back() = true;
   newline_indent();
@@ -185,6 +202,9 @@ JsonWriter& JsonWriter::null() {
 }
 
 const std::string& JsonWriter::str() const {
+  if (sink_ != nullptr) {
+    throw std::logic_error("JsonWriter: str() on a streaming writer");
+  }
   if (!stack_.empty()) {
     throw std::logic_error("JsonWriter: document still open");
   }

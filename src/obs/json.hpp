@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,6 +35,9 @@ class JsonWriter {
  public:
   /// `indent` spaces per nesting level; 0 writes compact single-line JSON.
   explicit JsonWriter(int indent = 2) : indent_(indent) {}
+  /// Streams the document into `sink` in chunks as it is written; flush()
+  /// hands over the rest. str() is not available on a streaming writer.
+  JsonWriter(std::ostream& sink, int indent) : indent_(indent), sink_(&sink) {}
 
   JsonWriter& begin_object();
   JsonWriter& end_object();
@@ -56,6 +60,9 @@ class JsonWriter {
   /// The finished document; throws if containers are still open.
   [[nodiscard]] const std::string& str() const;
 
+  /// Hand the text written so far to the sink of a streaming writer.
+  void flush();
+
  private:
   enum class Scope : std::uint8_t { kObject, kArray };
 
@@ -63,7 +70,9 @@ class JsonWriter {
   void newline_indent();
 
   int indent_;
-  std::string out_;
+  std::ostream* sink_ = nullptr;
+  bool started_ = false;  // a top-level value has begun
+  std::string out_;  // the document, or its unflushed tail when streaming
   std::vector<Scope> stack_;
   std::vector<bool> has_items_;  // parallel to stack_
   bool key_pending_ = false;

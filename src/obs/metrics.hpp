@@ -8,8 +8,10 @@
 //     no scope is installed the handles stay null and every publish site is
 //     a single predictable branch on a null pointer
 //   - ports register nothing by name: each hands the registry its
-//     obs::PortProbe, and snapshot() names the probe's cells and histograms
-//     ("port.<name>....") as it copies them out, already in sorted order
+//     obs::PortProbe, snapshot() copies each probe once into a name-free
+//     per-port record, and the "port.<name>...." keys are generated only
+//     when the snapshot is walked (MetricsSnapshot::for_each_counter /
+//     for_each_histogram, which the exporter uses)
 //   - per-run isolation: one registry per simulation run, installed
 //     thread-locally exactly like net::PacketPool::Scope, so concurrent
 //     sweep jobs never contend or mix their metrics
@@ -26,6 +28,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -109,21 +112,12 @@ class LogHistogram {
     const std::uint64_t v =
         signed_v < 0 ? 0 : static_cast<std::uint64_t>(signed_v);
     const auto idx = static_cast<std::uint32_t>(bucket_index(v));
-    // Branch-free binary search for the last bucket with index <= idx
-    // (the sample's bucket once it exists); record() runs three times per
-    // dequeue when metrics are on, and sample buckets are unpredictable.
-    std::size_t pos = 0;
-    for (std::size_t n = buckets_.size(); n > 1;) {
-      const std::size_t half = n / 2;
-      pos = buckets_[pos + half].index <= idx ? pos + half : pos;
-      n -= half;
+    // Consecutive samples of a port mostly land in the same bucket, so the
+    // last-hit one is checked before the search.
+    if (hint_ >= buckets_.size() || buckets_[hint_].index != idx) {
+      hint_ = find_or_insert(idx);
     }
-    if (buckets_.empty() || buckets_[pos].index != idx) {
-      if (!buckets_.empty() && buckets_[pos].index < idx) ++pos;
-      buckets_.insert(buckets_.begin() + static_cast<std::ptrdiff_t>(pos),
-                      Bucket{idx, 0});
-    }
-    ++buckets_[pos].count;
+    ++buckets_[hint_].count;
     ++count_;
     sum_ += v;
     if (count_ == 1 || v < min_) min_ = v;
@@ -202,7 +196,26 @@ class LogHistogram {
     std::uint64_t count;  ///< > 0
   };
 
+  /// Position of the bucket with index `idx`, inserted (empty) if absent.
+  std::uint32_t find_or_insert(std::uint32_t idx) {
+    // Branch-free binary search for the last bucket with index <= idx:
+    // sample buckets that miss the hint are unpredictable.
+    std::size_t pos = 0;
+    for (std::size_t n = buckets_.size(); n > 1;) {
+      const std::size_t half = n / 2;
+      pos = buckets_[pos + half].index <= idx ? pos + half : pos;
+      n -= half;
+    }
+    if (buckets_.empty() || buckets_[pos].index != idx) {
+      if (!buckets_.empty() && buckets_[pos].index < idx) ++pos;
+      buckets_.insert(buckets_.begin() + static_cast<std::ptrdiff_t>(pos),
+                      Bucket{idx, 0});
+    }
+    return static_cast<std::uint32_t>(pos);
+  }
+
   std::vector<Bucket> buckets_;  // non-empty buckets, ascending index
+  std::uint32_t hint_ = 0;       // position of the last-hit bucket
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = 0;
@@ -210,7 +223,12 @@ class LogHistogram {
 };
 
 /// Plain-data copy of a registry at a point in time: what FctReport carries
-/// and the exporters serialize. Deterministic: every section is name-sorted.
+/// and the exporters serialize. Named instruments keep their names, sorted
+/// within each section. Port probes are kept as name-free records, one name
+/// per port; their "port.<name>...." keys are made only by the walkers
+/// below, which interleave them with the named instruments in the
+/// document's key order. A snapshot parsed back from a document holds every
+/// key in the named sections and no ports: both forms walk the same keys.
 struct MetricsSnapshot {
   struct CounterValue {
     std::string name;
@@ -223,8 +241,8 @@ struct MetricsSnapshot {
     double max = 0.0;
     std::uint64_t sets = 0;
   };
-  struct HistogramValue {
-    std::string name;
+  /// What the document reports of one histogram.
+  struct HistogramSummary {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
     std::uint64_t min = 0;
@@ -233,14 +251,47 @@ struct MetricsSnapshot {
     std::uint64_t p99 = 0;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
   };
+  struct HistogramValue : HistogramSummary {
+    std::string name;
+  };
+  /// One port probe, copied once: the cells and histograms the document
+  /// reports under "port.<name>.".
+  struct PortValue {
+    struct Queue {  ///< "q<i>."
+      std::uint64_t deq_packets = 0;
+      std::uint64_t drop_packets = 0;
+      std::uint64_t enq_packets = 0;
+      HistogramSummary sojourn_ns;
+    };
+    std::string name;
+    std::uint64_t drops_buffer = 0;  ///< summed over the queues
+    std::uint64_t drops_fault = 0;
+    std::uint64_t drops_sched = 0;
+    std::uint64_t marks_dequeue = 0;  ///< summed over the queues
+    std::uint64_t marks_enqueue = 0;  ///< summed over the queues
+    HistogramSummary interdeq_gap_ns;
+    HistogramSummary mark_sojourn_ns;
+    std::vector<Queue> queues;  ///< by queue index
+  };
 
-  std::vector<CounterValue> counters;
-  std::vector<GaugeValue> gauges;
-  std::vector<HistogramValue> histograms;
+  std::vector<CounterValue> counters;      ///< named, name-sorted
+  std::vector<GaugeValue> gauges;          ///< name-sorted
+  std::vector<HistogramValue> histograms;  ///< named, name-sorted
+  /// In key order: by name + ".", so port "a-b" comes before port "a".
+  std::vector<PortValue> ports;
 
   [[nodiscard]] bool empty() const noexcept {
-    return counters.empty() && gauges.empty() && histograms.empty();
+    return counters.empty() && gauges.empty() && histograms.empty() &&
+           ports.empty();
   }
+
+  /// Every counter, named and per port, in the document's key order.
+  void for_each_counter(
+      const std::function<void(std::string_view, std::uint64_t)>& f) const;
+  /// Every histogram, named and per port, in the document's key order.
+  void for_each_histogram(
+      const std::function<void(std::string_view, const HistogramSummary&)>& f)
+      const;
 };
 
 /// Name -> instrument map for one simulation run, plus the probes of the
@@ -265,10 +316,11 @@ class MetricsRegistry {
   }
 
   /// Publish a port's probe: its cells and histograms appear in every
-  /// snapshot under "port.<name>.". The probe must outlive the snapshots.
+  /// snapshot under "port.<name>.". The probe must outlive every
+  /// snapshot() call (the snapshots themselves hold copies).
   void attach(PortProbe& probe);
 
-  /// Every instrument and port probe, name-sorted within each section.
+  /// Every instrument, and every port probe copied once.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// RAII scope installing this registry as the thread's publishing target,

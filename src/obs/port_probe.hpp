@@ -4,7 +4,7 @@
 // else the simulator reports about a port is the same per-queue state. A
 // net::Port records it once, into the PortProbe it holds, and every view
 // reads the probe: Port::counters() sums its cells,
-// MetricsRegistry::snapshot() names them, the time-series sampler takes
+// MetricsRegistry::snapshot() copies them, the time-series sampler takes
 // their tick-to-tick deltas, and trace observers hang off it. The
 // histograms exist only when a MetricsRegistry took the probe, so with no
 // consumer installed recording them is one null check. Consumers keep a

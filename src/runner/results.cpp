@@ -169,8 +169,10 @@ void write_json_file(const SweepResult& res, const std::string& name,
   }
 }
 
-std::string metrics_to_json(const SweepResult& res, const std::string& name) {
-  obs::JsonWriter w(2);
+namespace {
+
+void write_sweep_metrics(obs::JsonWriter& w, const SweepResult& res,
+                         const std::string& name) {
   w.begin_object();
   w.key("schema").value("tcn-metrics-1");
   w.key("name").value(name);
@@ -186,6 +188,13 @@ std::string metrics_to_json(const SweepResult& res, const std::string& name) {
   }
   w.end_array();
   w.end_object();
+}
+
+}  // namespace
+
+std::string metrics_to_json(const SweepResult& res, const std::string& name) {
+  obs::JsonWriter w(2);
+  write_sweep_metrics(w, res, name);
   std::string out = w.str();
   out += '\n';
   return out;
@@ -193,7 +202,9 @@ std::string metrics_to_json(const SweepResult& res, const std::string& name) {
 
 void write_metrics_file(const SweepResult& res, const std::string& name,
                         const std::string& path) {
-  obs::write_text_file(path, metrics_to_json(res, name));
+  obs::stream_json_file(path, [&](obs::JsonWriter& w) {
+    write_sweep_metrics(w, res, name);
+  });
 }
 
 }  // namespace tcn::runner

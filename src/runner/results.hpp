@@ -73,8 +73,8 @@ void write_json_file(const SweepResult& res, const std::string& name,
 /// SweepResult::runs is index-ordered regardless of worker scheduling.
 std::string metrics_to_json(const SweepResult& res, const std::string& name);
 
-/// Write `metrics_to_json` to `path` ("-" writes to stdout). Throws
-/// std::runtime_error on I/O failure.
+/// Stream `metrics_to_json` to `path` ("-" writes to stdout) without
+/// holding the whole document. Throws std::runtime_error on I/O failure.
 void write_metrics_file(const SweepResult& res, const std::string& name,
                         const std::string& path);
 

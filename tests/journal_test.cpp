@@ -177,14 +177,19 @@ TEST(Journal, WriteThenLoadRoundTrips) {
   std::remove(path.c_str());
 }
 
-TEST(Journal, ResumeReproducesUninterruptedRunByteForByte) {
-  const std::string path = temp_path("journal_resume.jsonl");
-  const auto spec = small_spec();
-
+/// A sweep "killed" after two journaled records and resumed from the
+/// journal on several workers, then resumed again from the completed
+/// journal, serializes byte-identically to an uninterrupted run. With
+/// metrics on, restored runs carry snapshots parsed back from the journal
+/// (every key stored by name) and live runs carry port records whose keys
+/// are made at export, so their metrics documents must match too.
+void expect_resume_reproduces(const runner::SweepSpec& spec,
+                              const std::string& path) {
   // Reference: uninterrupted, no journal.
   const auto ref = runner::run_sweep(spec, {});
   ASSERT_TRUE(ref.ok());
   const auto ref_json = runner::to_json(ref, "unit", /*include_timing=*/false);
+  const auto ref_metrics = runner::metrics_to_json(ref, "unit");
 
   // "Crashed" run: journal every record, then chop the file down to the
   // first two records as if the process had been killed after job 1.
@@ -208,6 +213,7 @@ TEST(Journal, ResumeReproducesUninterruptedRunByteForByte) {
   EXPECT_EQ(res.restored, 2u);
   EXPECT_EQ(res.completed, 4u);
   EXPECT_EQ(runner::to_json(res, "unit", /*include_timing=*/false), ref_json);
+  EXPECT_EQ(runner::metrics_to_json(res, "unit"), ref_metrics);
 
   // The extended journal is now complete: resuming again restores all four.
   auto again = runner::load_journal(path);
@@ -216,8 +222,27 @@ TEST(Journal, ResumeReproducesUninterruptedRunByteForByte) {
   opt2.resume = &again;
   const auto res2 = runner::run_sweep(spec, opt2);
   EXPECT_EQ(res2.restored, 4u);
+  // Restored snapshots hold every key by name.
+  EXPECT_TRUE(res2.runs[0].report.metrics.ports.empty());
   EXPECT_EQ(runner::to_json(res2, "unit", /*include_timing=*/false), ref_json);
+  EXPECT_EQ(runner::metrics_to_json(res2, "unit"), ref_metrics);
   std::remove(path.c_str());
+}
+
+TEST(Journal, ResumeReproducesUninterruptedRunByteForByte) {
+  expect_resume_reproduces(small_spec(), temp_path("journal_resume.jsonl"));
+}
+
+TEST(Journal, ResumeWithMetricsReproducesUninterruptedRunByteForByte) {
+  auto spec = small_spec();
+  spec.base.collect_metrics = true;
+  const auto ref = runner::run_sweep(spec, {});
+  ASSERT_TRUE(ref.ok());
+  // Live snapshots hold the port probes as records, not names.
+  ASSERT_FALSE(ref.runs[0].report.metrics.ports.empty());
+  EXPECT_NE(runner::metrics_to_json(ref, "unit").find("\"port."),
+            std::string::npos);
+  expect_resume_reproduces(spec, temp_path("journal_resume_metrics.jsonl"));
 }
 
 TEST(Journal, FreshJournalWrittenDuringResumeIsSelfComplete) {

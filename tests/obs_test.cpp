@@ -23,6 +23,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/json_value.hpp"
 #include "obs/metrics.hpp"
+#include "obs/port_probe.hpp"
 #include "runner/results.hpp"
 #include "runner/sweep.hpp"
 #include "test_util.hpp"
@@ -121,19 +122,15 @@ TEST(LogHistogram, SparseBucketExport) {
   EXPECT_EQ(total, h.count());
 }
 
-TEST(LogHistogram, SparseStorageMatchesDenseCounts) {
-  // Reference: the dense layout (a count per bucket index up to the
-  // highest hit) and its percentile/quantile scans. The sparse histogram
-  // must report exactly the same buckets and estimates. Samples are
-  // heavy-tailed over ~9 decades, with a lump at zero, like sojourns.
-  std::mt19937_64 rng(11);
+/// Records `samples` into a LogHistogram and into the dense reference
+/// layout (a count per bucket index up to the highest hit), then checks
+/// that both report the same buckets, percentiles and quantiles.
+void expect_matches_dense(const std::vector<std::uint64_t>& samples) {
   LogHistogram h;
   std::vector<std::uint64_t> dense;
   std::uint64_t min = UINT64_MAX;
   std::uint64_t max = 0;
-  for (int i = 0; i < 20'000; ++i) {
-    const std::uint64_t v =
-        (rng() % 8 == 0) ? 0 : (rng() % 1'000) << (rng() % 20);
+  for (const std::uint64_t v : samples) {
     h.record(static_cast<std::int64_t>(v));
     const std::size_t idx = LogHistogram::bucket_index(v);
     if (idx >= dense.size()) dense.resize(idx + 1, 0);
@@ -181,6 +178,51 @@ TEST(LogHistogram, SparseStorageMatchesDenseCounts) {
       seen += c;
     }
     EXPECT_EQ(h.quantile(q), ref) << "q=" << q;
+  }
+}
+
+TEST(LogHistogram, SparseStorageMatchesDenseCounts) {
+  // Heavy-tailed samples over ~9 decades, with a lump at zero, like
+  // sojourns.
+  std::mt19937_64 rng(11);
+  std::vector<std::uint64_t> samples;
+  for (int i = 0; i < 20'000; ++i) {
+    samples.push_back((rng() % 8 == 0) ? 0 : (rng() % 1'000) << (rng() % 20));
+  }
+  {
+    SCOPED_TRACE("heavy-tailed");
+    expect_matches_dense(samples);
+  }
+  // record() checks the last-hit bucket before searching. Long runs in one
+  // bucket hit it every time.
+  samples.clear();
+  for (const std::uint64_t v : {5'000ull, 7ull, 1'000'000ull, 5'001ull}) {
+    samples.insert(samples.end(), 500, v);
+  }
+  {
+    SCOPED_TRACE("same-bucket runs");
+    expect_matches_dense(samples);
+  }
+  // Each new bucket lands below the last-hit one and shifts its position:
+  // the next sample of the old bucket must still count there.
+  samples.clear();
+  for (std::uint64_t v = 1ull << 30; v > 0; v /= 3) {
+    samples.push_back(v);
+    samples.push_back(1ull << 31);
+    samples.push_back(v);
+  }
+  {
+    SCOPED_TRACE("inserts below the hint");
+    expect_matches_dense(samples);
+  }
+  // Alternating buckets miss the hint on every sample.
+  samples.clear();
+  for (int i = 0; i < 3'000; ++i) {
+    samples.push_back(i % 3 == 0 ? 40 : i % 3 == 1 ? 4'000 : 400'000);
+  }
+  {
+    SCOPED_TRACE("alternating buckets");
+    expect_matches_dense(samples);
   }
 }
 
@@ -321,16 +363,122 @@ TEST(Exporters, MetricsJsonHasSchemaAndSections) {
   EXPECT_EQ(doc, metrics_to_json(reg.snapshot()));
 }
 
+/// Three ports whose keys interleave: "a." prefixes "a.l", so the keys of
+/// "a.l" fall between those of "a", and "a-c" sorts after "a" as a port
+/// name while "port.a-c." sorts before "port.a.". Named instruments fall
+/// between generated port keys.
+std::string key_order_document() {
+  MetricsRegistry reg;
+  PortProbe a("a", 2);
+  PortProbe al("a.l", 1);
+  PortProbe ac("a-c", 1);
+  for (PortProbe* p : {&al, &a, &ac}) reg.attach(*p);
+  a.cells[0].enq_packets = 5;
+  a.cells[0].tx_packets = 4;
+  a.cells[0].drops = 1;
+  a.cells[1].marks_dequeue = 2;
+  a.cells[1].marks_enqueue = 3;
+  a.fault_drops = 6;
+  a.sched_drops = 7;
+  a.histograms->sojourn[0].record(1'000);
+  a.histograms->sojourn[0].record(1'010);
+  a.histograms->interdeq_gap.record(12);
+  al.cells[0].enq_packets = 9;
+  al.histograms->mark_sojourn.record(300);
+  ac.cells[0].drops = 11;
+  ac.sched_drops = 13;
+  reg.counter("aqm.tcn.evals").inc(21);
+  reg.counter("port.a.k").inc(22);        // between drops.* and port.a.l.*
+  reg.counter("port.a.marks.f").inc(23);  // between marks.enqueue and q0.
+  reg.counter("tcp.timeouts").inc(24);
+  reg.histogram("port.a.j").record(25);  // between interdeq_* and port.a.l.*
+  reg.gauge("stability/sojourn_cv").set(0.5);
+  return metrics_to_json(reg.snapshot(), 0);
+}
+
+TEST(Exporters, MetricsKeyOrderInterleavesPortsAndNamedInstruments) {
+  // Pinned bytes of the document as first written, when every port key was
+  // a stored name and the sections were sorted after merging.
+  const std::string want =
+      "{\"schema\":\"tcn-metrics-1\",\"counters\":{"
+      "\"aqm.tcn.evals\":21,"
+      "\"port.a-c.drops.buffer\":11,"
+      "\"port.a-c.drops.fault\":0,"
+      "\"port.a-c.drops.sched\":13,"
+      "\"port.a-c.marks.dequeue\":0,"
+      "\"port.a-c.marks.enqueue\":0,"
+      "\"port.a-c.q0.deq_packets\":0,"
+      "\"port.a-c.q0.drop_packets\":11,"
+      "\"port.a-c.q0.enq_packets\":0,"
+      "\"port.a.drops.buffer\":1,"
+      "\"port.a.drops.fault\":6,"
+      "\"port.a.drops.sched\":7,"
+      "\"port.a.k\":22,"
+      "\"port.a.l.drops.buffer\":0,"
+      "\"port.a.l.drops.fault\":0,"
+      "\"port.a.l.drops.sched\":0,"
+      "\"port.a.l.marks.dequeue\":0,"
+      "\"port.a.l.marks.enqueue\":0,"
+      "\"port.a.l.q0.deq_packets\":0,"
+      "\"port.a.l.q0.drop_packets\":0,"
+      "\"port.a.l.q0.enq_packets\":9,"
+      "\"port.a.marks.dequeue\":2,"
+      "\"port.a.marks.enqueue\":3,"
+      "\"port.a.marks.f\":23,"
+      "\"port.a.q0.deq_packets\":4,"
+      "\"port.a.q0.drop_packets\":1,"
+      "\"port.a.q0.enq_packets\":5,"
+      "\"port.a.q1.deq_packets\":0,"
+      "\"port.a.q1.drop_packets\":0,"
+      "\"port.a.q1.enq_packets\":0,"
+      "\"tcp.timeouts\":24},"
+      "\"gauges\":{"
+      "\"stability/sojourn_cv\":{\"last\":0.5,\"min\":0.5,\"max\":0.5,"
+      "\"sets\":1}},"
+      "\"histograms\":{"
+      "\"port.a-c.interdeq_gap_ns\":{\"count\":0,\"sum\":0,\"min\":0,"
+      "\"max\":0,\"mean\":0,\"p50\":0,\"p99\":0,\"buckets\":[]},"
+      "\"port.a-c.mark_sojourn_ns\":{\"count\":0,\"sum\":0,\"min\":0,"
+      "\"max\":0,\"mean\":0,\"p50\":0,\"p99\":0,\"buckets\":[]},"
+      "\"port.a-c.q0.sojourn_ns\":{\"count\":0,\"sum\":0,\"min\":0,"
+      "\"max\":0,\"mean\":0,\"p50\":0,\"p99\":0,\"buckets\":[]},"
+      "\"port.a.interdeq_gap_ns\":{\"count\":1,\"sum\":12,\"min\":12,"
+      "\"max\":12,\"mean\":12,\"p50\":12,\"p99\":12,\"buckets\":[[12,"
+      "1]]},"
+      "\"port.a.j\":{\"count\":1,\"sum\":25,\"min\":25,\"max\":25,"
+      "\"mean\":25,\"p50\":25,\"p99\":25,\"buckets\":[[25,1]]},"
+      "\"port.a.l.interdeq_gap_ns\":{\"count\":0,\"sum\":0,\"min\":0,"
+      "\"max\":0,\"mean\":0,\"p50\":0,\"p99\":0,\"buckets\":[]},"
+      "\"port.a.l.mark_sojourn_ns\":{\"count\":1,\"sum\":300,\"min\":300,"
+      "\"max\":300,\"mean\":300,\"p50\":300,\"p99\":300,"
+      "\"buckets\":[[296,1]]},"
+      "\"port.a.l.q0.sojourn_ns\":{\"count\":0,\"sum\":0,\"min\":0,"
+      "\"max\":0,\"mean\":0,\"p50\":0,\"p99\":0,\"buckets\":[]},"
+      "\"port.a.mark_sojourn_ns\":{\"count\":0,\"sum\":0,\"min\":0,"
+      "\"max\":0,\"mean\":0,\"p50\":0,\"p99\":0,\"buckets\":[]},"
+      "\"port.a.q0.sojourn_ns\":{\"count\":2,\"sum\":2010,\"min\":1000,"
+      "\"max\":1010,\"mean\":1005,\"p50\":1010,\"p99\":1010,"
+      "\"buckets\":[[992,1],[1008,1]]},"
+      "\"port.a.q1.sojourn_ns\":{\"count\":0,\"sum\":0,\"min\":0,"
+      "\"max\":0,\"mean\":0,\"p50\":0,\"p99\":0,\"buckets\":[]}}}";
+  EXPECT_EQ(key_order_document(), want);
+}
+
 // ----------------------------------------------------- property battery ----
 
 /// Snapshot indexed for assertions.
 struct Indexed {
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, MetricsSnapshot::HistogramValue> histograms;
+  std::map<std::string, MetricsSnapshot::HistogramSummary> histograms;
 
   explicit Indexed(const MetricsSnapshot& s) {
-    for (const auto& c : s.counters) counters[c.name] = c.value;
-    for (const auto& h : s.histograms) histograms[h.name] = h;
+    s.for_each_counter([this](std::string_view name, std::uint64_t v) {
+      counters.emplace(name, v);
+    });
+    s.for_each_histogram([this](std::string_view name,
+                                const MetricsSnapshot::HistogramSummary& h) {
+      histograms.emplace(name, h);
+    });
   }
 
   [[nodiscard]] std::uint64_t counter(const std::string& name) const {

@@ -6,7 +6,7 @@
 // registry and time-series sampler -- costs a fixed number of heap
 // allocations however many queues it has. Queues and scheduler rings
 // allocate nothing until a packet arrives, and metrics names are built when
-// a snapshot is taken, not per queue at construction.
+// a snapshot is exported, not per queue at construction.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +21,7 @@
 #include "net/marker.hpp"
 #include "net/port.hpp"
 #include "obs/metrics.hpp"
+#include "obs/port_probe.hpp"
 #include "obs/timeseries.hpp"
 #include "sched/dwrr.hpp"
 #include "sched/pifo.hpp"
@@ -112,6 +113,25 @@ TEST(PortProbe, ObservingAPortCostsTheSameAllocationsForAnyQueueCount) {
   EXPECT_GT(one, 0u);  // the histograms block and the consumers' lists
   EXPECT_EQ(observer_cost(8), one);
   EXPECT_EQ(observer_cost(32), one);
+}
+
+/// Heap allocations made by snapshot() of a registry holding one idle port
+/// with `num_queues` queues.
+std::uint64_t snapshot_allocs(std::size_t num_queues) {
+  obs::MetricsRegistry registry;
+  obs::PortProbe probe("leaf0.p10", num_queues);
+  registry.attach(probe);
+  const std::uint64_t before = allocs();
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  return allocs() - before;
+}
+
+TEST(PortProbe, SnapshotCopiesAPortWithoutNamingItsKeys) {
+  // One record per port: its queues share one block, and no per-key name
+  // is built until the snapshot is exported.
+  const std::uint64_t one = snapshot_allocs(1);
+  EXPECT_EQ(snapshot_allocs(8), one);
+  EXPECT_EQ(snapshot_allocs(32), one);
 }
 
 TEST(PortAllocations, QueueCountDoesNotChangeTheCount) {

@@ -319,11 +319,12 @@ TEST(TrafficEngine, TwoTenantsWithDscpAndDiurnal) {
   const auto report = core::run_fct_experiment(cfg);
   EXPECT_EQ(report.flows_completed, report.traffic_arrivals);
   EXPECT_GE(report.traffic_arrivals, 300u);  // both chains may land one extra
-  auto counter = [&](std::string_view name) -> std::uint64_t {
-    for (const auto& c : report.metrics.counters) {
-      if (c.name == name) return c.value;
-    }
-    return 0;
+  auto counter = [&](std::string_view name) {
+    std::uint64_t value = 0;
+    report.metrics.for_each_counter([&](std::string_view key, std::uint64_t v) {
+      if (key == name) value = v;
+    });
+    return value;
   };
   const auto web = counter("traffic/arrivals.web");
   const auto batch = counter("traffic/arrivals.batch");
